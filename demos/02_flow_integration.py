@@ -19,7 +19,7 @@ from nodesteer import (
 )
 
 vf = benchmark_field("rotation", {"omega": 1.0})
-print(f"field: {vf.name}, |V| <= {vf.bound_C}, Lipschitz K = {vf.lipschitz_K}, horizon T = {vf.horizon_T}")
+print(f"field: {vf.name}, |V| <= {vf.bound_C}, Lipschitz K = {vf.lipschitz_K}, horizon T = {vf.horizon}")
 
 spec = MeasureSpec("uniform-ball", {"center": [0.0, 0.0], "radius": 1.0})
 mu0 = sample_measure(spec, 300, seed=0)

@@ -19,13 +19,13 @@ from .flow import integrate_flow
 from .harness import (
     ConfigError,
     ExperimentConfig,
+    compute_row,
     emit_plot_data,
     run_endpoint_experiment,
     run_trajectory_experiment,
 )
 from .measures import MeasureSpecError
 from .synthesis import ControlSchedule, synthesize_controls
-from .transport import sup_w2, w2_exact
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -42,7 +42,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, desc in [
         ("synthesize", "build a control schedule for the config's target"),
         ("simulate", "integrate the config's field or schedule and save the trajectory"),
-        ("compare", "synthesize at one sweep point and report errors vs the reference"),
+        ("compare", "synthesize at one sweep point and report its errors as a sweep row does"),
         ("sweep", "run the full trajectory experiment sweep"),
         ("endpoint", "run the measure-steering experiment sweep"),
     ]:
@@ -80,8 +80,7 @@ def _single_point(cfg: ExperimentConfig):
 
 def _cmd_synthesize(cfg: ExperimentConfig, out_dir: Path, args) -> int:
     coords = _single_point(cfg)
-    mu0 = cfg.build_mu0()
-    vf = cfg.build_field(mu0)
+    mu0, _, vf = cfg.build_inputs()
     result = synthesize_controls(vf, mu0, cfg.synthesis_params(coords), **dict(cfg.fit_options))
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "schedule.json").write_text(result.schedule.to_json() + "\n")
@@ -94,14 +93,11 @@ def _cmd_synthesize(cfg: ExperimentConfig, out_dir: Path, args) -> int:
 
 
 def _cmd_simulate(cfg: ExperimentConfig, out_dir: Path, args) -> int:
-    mu0 = cfg.build_mu0()
     if cfg.schedule_path is not None:
-        vf = ControlSchedule.from_json(Path(cfg.schedule_path).read_text())
-        horizon = vf.horizon
+        mu0, vf = cfg.build_mu0(), ControlSchedule.from_json(Path(cfg.schedule_path).read_text())
     else:
-        vf = cfg.build_field(mu0)
-        horizon = vf.horizon_T
-    traj = integrate_flow(vf, mu0, cfg.integrator(horizon))
+        mu0, _, vf = cfg.build_inputs()
+    traj = integrate_flow(vf, mu0, cfg.integrator(vf.horizon))
     out_dir.mkdir(parents=True, exist_ok=True)
     traj.save(out_dir)
     print(f"wrote {traj.times.size} snapshots to {out_dir}")
@@ -110,14 +106,10 @@ def _cmd_simulate(cfg: ExperimentConfig, out_dir: Path, args) -> int:
 
 def _cmd_compare(cfg: ExperimentConfig, out_dir: Path, args) -> int:
     coords = _single_point(cfg)
-    mu0 = cfg.build_mu0()
-    vf = cfg.build_field(mu0)
-    icfg = cfg.integrator(vf.horizon_T)
-    reference = integrate_flow(vf, mu0, icfg)
-    result = synthesize_controls(vf, mu0, cfg.synthesis_params(coords), **dict(cfg.fit_options))
-    synthesized = integrate_flow(result.schedule, mu0, icfg)
-    sup_err = sup_w2(synthesized, reference)
-    final_err = w2_exact(synthesized.final, reference.final).distance
+    inputs = cfg.build_inputs()
+    mu0, _, vf = inputs
+    reference = integrate_flow(vf, mu0, cfg.integrator(vf.horizon))
+    result, _, sup_err, final_err = compute_row(cfg, coords, inputs, reference)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "compare.json").write_text(
         json.dumps(

@@ -216,10 +216,7 @@ class PiecewiseConstField:
         return min(max(j, 0), len(self.pieces) - 1)
 
     def static_piece(self, j: int) -> Callable[[np.ndarray], np.ndarray]:
-        piece = self.pieces[j]
-        if isinstance(piece, NeuralField):
-            return piece
-        return piece
+        return self.pieces[j]
 
     def velocity(self, t: float, x: np.ndarray) -> np.ndarray:
         return self.static_piece(self.piece_index(t))(x)
@@ -246,9 +243,7 @@ def estimate_bounds(
     """
     if t_samples < 2 or x_samples < 2:
         raise ValueError("estimate_bounds needs at least 2 samples per axis")
-    horizon = getattr(vf, "horizon_T", None)
-    if horizon is None:
-        horizon = getattr(vf, "horizon", 1.0)
+    horizon = getattr(vf, "horizon", 1.0)
     rng = np.random.default_rng(seed)
     pts = region.sample(rng, x_samples)
     dists = squareform(pdist(pts))
@@ -278,7 +273,7 @@ class VectorFieldSpec:
         evaluator: Callable[[float, np.ndarray], np.ndarray],
         bound_C: float,
         lipschitz_K: float,
-        horizon_T: float,
+        horizon: float,
         dim: int,
         region: Region,
         name: Optional[str] = None,
@@ -287,14 +282,14 @@ class VectorFieldSpec:
         static_superposition: Optional[NeuralField] = None,
         validate: bool = True,
     ):
-        if horizon_T <= 0:
-            raise ValueError("horizon_T must be positive")
+        if horizon <= 0:
+            raise ValueError("horizon must be positive")
         if bound_C < 0 or lipschitz_K < 0:
             raise ValueError("declared C and K must be nonnegative")
         self._evaluator = evaluator
         self.bound_C = float(bound_C)
         self.lipschitz_K = float(lipschitz_K)
-        self.horizon_T = float(horizon_T)
+        self.horizon = float(horizon)
         self.dim = int(dim)
         self.region = region
         self.name = name
@@ -332,9 +327,7 @@ def eval_field(vf, t: float, x) -> np.ndarray:
     pts = np.asarray(x, dtype=float)
     single = pts.ndim == 1
     pts = np.atleast_2d(pts)
-    horizon = getattr(vf, "horizon_T", None)
-    if horizon is None:
-        horizon = getattr(vf, "horizon", None)
+    horizon = getattr(vf, "horizon", None)
     start = getattr(vf, "start", 0.0)
     if horizon is not None and not (start <= t <= horizon):
         raise ValueError(f"t = {t} outside [{start}, {horizon}]")
@@ -366,7 +359,7 @@ def _rotation_spec(params: Mapping) -> VectorFieldSpec:
         evaluator,
         bound_C=abs(omega) * radius,
         lipschitz_K=abs(omega),
-        horizon_T=horizon,
+        horizon=horizon,
         dim=2,
         region=region,
         name="rotation",
@@ -391,7 +384,7 @@ def _translation_spec(params: Mapping) -> VectorFieldSpec:
         evaluator,
         bound_C=float(np.linalg.norm(v)),
         lipschitz_K=0.0,
-        horizon_T=horizon,
+        horizon=horizon,
         dim=v.size,
         region=region,
         name="translation",
@@ -419,7 +412,7 @@ def _contraction_spec(params: Mapping) -> VectorFieldSpec:
         evaluator,
         bound_C=rate * radius,
         lipschitz_K=rate,
-        horizon_T=horizon,
+        horizon=horizon,
         dim=center.size,
         region=region,
         name="contraction-to-point",
@@ -448,7 +441,7 @@ def _shear_spec(params: Mapping) -> VectorFieldSpec:
         evaluator,
         bound_C=abs(rate) * radius,
         lipschitz_K=abs(rate),
-        horizon_T=horizon,
+        horizon=horizon,
         dim=2,
         region=region,
         name="shear",
@@ -473,7 +466,7 @@ def _neural_static_spec(params: Mapping) -> VectorFieldSpec:
         nf.velocity,
         bound_C=est.C_hat * 1.25 + 1e-9,
         lipschitz_K=nf.lipschitz_bound(),
-        horizon_T=horizon,
+        horizon=horizon,
         dim=nf.dim,
         region=region,
         name="neural-static",
@@ -504,7 +497,7 @@ def _double_gyre_spec(params: Mapping) -> VectorFieldSpec:
         evaluator,
         bound_C=pi_a,
         lipschitz_K=2.0 * np.pi * pi_a,
-        horizon_T=horizon,
+        horizon=horizon,
         dim=2,
         region=region,
         name="double-gyre-static",

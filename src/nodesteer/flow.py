@@ -135,13 +135,6 @@ def _field_breakpoints(vf) -> np.ndarray:
     return np.asarray(bp, dtype=float)
 
 
-def _field_horizon(vf) -> Optional[float]:
-    horizon = getattr(vf, "horizon_T", None)
-    if horizon is None:
-        horizon = getattr(vf, "horizon", None)
-    return horizon
-
-
 def _segment_evaluator(vf, t_start: float):
     """Velocity function valid on one breakpoint-free window.
 
@@ -177,7 +170,7 @@ def integrate_flow(vf, mu0: ParticleEnsemble, cfg: IntegratorConfig) -> MeasureT
     """Push mu0 forward along the field, recording snapshots at cfg.snap_times."""
     snaps_req = cfg.snap_times
     t_end = float(snaps_req[-1])
-    horizon = _field_horizon(vf)
+    horizon = getattr(vf, "horizon", None)
     if horizon is not None and horizon < t_end - 1e-12:
         raise ValueError(f"field horizon {horizon} < final snap time {t_end}")
     dim = getattr(vf, "dim", None)

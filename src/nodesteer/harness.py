@@ -17,13 +17,14 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import product
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .fields import VectorFieldSpec, benchmark_field
+from .fields import benchmark_field
 from .flow import IntegratorConfig, MeasureTrajectory, integrate_flow
 from .measures import RNG_ALGORITHM, MeasureSpec, ParticleEnsemble, sample_measure
 from .synthesis import (
@@ -151,30 +152,17 @@ class ExperimentConfig:
             _require_keys(f, {"name", "params"}, {"name"}, "field")
             field_name, field_params = f["name"], dict(f.get("params", {}))
 
-        method, base_step, snap_count, snap_times = "rk4", 0.01, 11, None
-        if "integrator" in raw:
-            integ = raw["integrator"]
-            if not isinstance(integ, Mapping):
-                raise ConfigError("integrator must be an object")
-            _require_keys(integ, {"method", "base_step", "snap_count", "snap_times"}, set(), "integrator")
-            if "snap_count" in integ and "snap_times" in integ:
-                raise ConfigError("give snap_count or snap_times, not both")
-            method = integ.get("method", method)
-            base_step = float(integ.get("base_step", base_step))
-            snap_count = int(integ.get("snap_count", snap_count))
-            if snap_count < 2:
-                raise ConfigError("snap_count must be >= 2")
-            if "snap_times" in integ:
-                snap_times = tuple(float(t) for t in integ["snap_times"])
-
-        smoothing = float(raw.get("smoothing", 0.5))
-        if smoothing <= 0:
-            raise ConfigError("smoothing must be positive")
+        integ = raw.get("integrator", {})
+        if not isinstance(integ, Mapping):
+            raise ConfigError("integrator must be an object")
+        _require_keys(integ, {"method", "base_step", "snap_count", "snap_times"}, set(), "integrator")
+        if "snap_count" in integ and "snap_times" in integ:
+            raise ConfigError("give snap_count or snap_times, not both")
         if "schedule" in raw and not isinstance(raw["schedule"], str):
             raise ConfigError("schedule must be a path string")
 
         try:
-            return ExperimentConfig(
+            cfg = ExperimentConfig(
                 kind=kind,
                 initial_measure=parse_measure(raw["initial_measure"], "initial_measure"),
                 n_particles=n_particles,
@@ -193,14 +181,24 @@ class ExperimentConfig:
                     if "target_measure" in raw
                     else None
                 ),
-                smoothing=smoothing,
-                method=method,
-                base_step=base_step,
-                snap_count=snap_count,
-                snap_times=snap_times,
+                smoothing=float(raw.get("smoothing", 0.5)),
+                method=integ.get("method", "rk4"),
+                base_step=float(integ.get("base_step", 0.01)),
+                snap_count=int(integ.get("snap_count", 11)),
+                snap_times=(
+                    tuple(float(t) for t in integ["snap_times"]) if "snap_times" in integ else None
+                ),
                 out_dir=raw.get("out_dir"),
                 schedule_path=raw.get("schedule"),
             )
+            if cfg.smoothing <= 0:
+                raise ConfigError("smoothing must be positive")
+            if cfg.snap_count < 2:
+                raise ConfigError("snap_count must be >= 2")
+            # checks the method, the step and an explicit snapshot grid now, so
+            # a bad integrator fails the parse instead of the first row
+            cfg.integrator(1.0)
+            return cfg
         except ConfigError:
             raise
         except (TypeError, ValueError) as exc:
@@ -255,19 +253,21 @@ class ExperimentConfig:
     def build_mu0(self) -> ParticleEnsemble:
         return sample_measure(self.initial_measure, self.n_particles, self.measure_seeds()[0])
 
-    def build_muf(self) -> ParticleEnsemble:
-        if self.target_measure is None:
-            raise ConfigError("config has no target_measure")
-        if self.target_measure.kind == "translate-of-initial":
-            offset = np.asarray(self.target_measure.params["offset"], dtype=float)
-            return self.build_mu0().translate(offset)
-        return sample_measure(self.target_measure, self.n_particles, self.measure_seeds()[1])
+    def build_inputs(self) -> tuple:
+        """(mu0, muf, field): the initial ensemble, the target ensemble, the target field.
 
-    def build_field(self, mu0: Optional[ParticleEnsemble] = None) -> VectorFieldSpec:
+        muf is None for trajectory configs, whose field is the named benchmark.
+        For endpoint configs the field is the displacement interpolation from
+        mu0 to muf; a translate-of-initial target shifts this same mu0.
+        """
+        mu0 = self.build_mu0()
         if self.kind == "trajectory":
-            return benchmark_field(self.field_name, self.field_params)
-        mu0 = mu0 if mu0 is not None else self.build_mu0()
-        return displacement_target_field(mu0, self.build_muf(), self.smoothing)
+            return mu0, None, benchmark_field(self.field_name, self.field_params)
+        if self.target_measure.kind == "translate-of-initial":
+            muf = mu0.translate(np.asarray(self.target_measure.params["offset"], dtype=float))
+        else:
+            muf = sample_measure(self.target_measure, self.n_particles, self.measure_seeds()[1])
+        return mu0, muf, displacement_target_field(mu0, muf, self.smoothing)
 
     def integrator(self, horizon: float) -> IntegratorConfig:
         snaps = (
@@ -398,63 +398,56 @@ def _write_json(path: Path, obj) -> None:
     _atomic_write(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _reference_paths(out_dir: Path) -> dict:
-    return {
-        "mu0": out_dir / "mu0.csv",
-        "muf": out_dir / "muf.csv",
-        "reference": out_dir / "reference",
-    }
-
-
 def _prepare_shared(cfg: ExperimentConfig, out_dir: Path) -> tuple:
-    """Sample inputs, build the target field, and integrate the reference."""
-    mu0 = cfg.build_mu0()
-    muf = cfg.build_muf() if cfg.kind == "endpoint" else None
-    vf = (
-        benchmark_field(cfg.field_name, cfg.field_params)
-        if cfg.kind == "trajectory"
-        else displacement_target_field(mu0, muf, cfg.smoothing)
-    )
-    icfg = cfg.integrator(vf.horizon_T)
-    reference = integrate_flow(vf, mu0, icfg)
-
-    paths = _reference_paths(out_dir)
-    _atomic_write(paths["mu0"], mu0.to_csv())
+    """Build the inputs, integrate the reference, and write both; returns (inputs, reference)."""
+    inputs = cfg.build_inputs()
+    mu0, muf, vf = inputs
+    reference = integrate_flow(vf, mu0, cfg.integrator(vf.horizon))
+    _atomic_write(out_dir / "mu0.csv", mu0.to_csv())
     if muf is not None:
-        _atomic_write(paths["muf"], muf.to_csv())
-    paths["reference"].mkdir(parents=True, exist_ok=True)
-    reference.save(paths["reference"])
-    return mu0, muf, vf, icfg, reference
+        _atomic_write(out_dir / "muf.csv", muf.to_csv())
+    reference.save(out_dir / "reference")
+    return inputs, reference
 
 
-def _execute_row(cfg_json: str, coords, out_root: str) -> dict:
+def compute_row(cfg: ExperimentConfig, coords, inputs: tuple, reference: MeasureTrajectory) -> tuple:
+    """Synthesize at one sweep coordinate and measure the schedule's flow.
+
+    ``inputs`` is :meth:`ExperimentConfig.build_inputs`'s (mu0, muf, field)
+    and ``reference`` the field's flow from mu0 on the config's snapshot grid.
+    Returns (synthesis result, synthesized trajectory, sup_w2, final_w2).
+    ``final_w2`` is measured against muf for endpoint configs and against the
+    reference's final snapshot for trajectory configs.
+    """
+    mu0, muf, vf = inputs
+    result = synthesize_controls(vf, mu0, cfg.synthesis_params(coords), **dict(cfg.fit_options))
+    synthesized = integrate_flow(result.schedule, mu0, cfg.integrator(vf.horizon))
+    sup_err = sup_w2(synthesized, reference)
+    final_err = w2_exact(synthesized.final, reference.final if muf is None else muf).distance
+    return result, synthesized, sup_err, final_err
+
+
+def _execute_row(
+    cfg: ExperimentConfig,
+    out_dir: Path,
+    reference: MeasureTrajectory,
+    coords,
+    inputs: Optional[tuple] = None,
+) -> ResultRow:
     """Compute one sweep row and write its artifacts; never raises.
 
-    Top-level so process pools can pickle it; rebuilds every input from the
-    config for parity between sequential and parallel execution.
+    Top-level so process pools can pickle it. A sequential sweep passes the
+    inputs it built for the reference. A pool worker gets ``inputs=None`` and
+    rebuilds them with :meth:`ExperimentConfig.build_inputs`, since the field's
+    closures do not pickle; the reference trajectory does and is passed in.
     """
-    cfg = ExperimentConfig.from_json(cfg_json)
-    out_dir = Path(out_root)
     row_dir = out_dir / "rows" / row_key(coords)
     row_dir.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
     try:
-        mu0 = cfg.build_mu0()
-        muf = cfg.build_muf() if cfg.kind == "endpoint" else None
-        vf = (
-            benchmark_field(cfg.field_name, cfg.field_params)
-            if cfg.kind == "trajectory"
-            else displacement_target_field(mu0, muf, cfg.smoothing)
+        result, synthesized, sup_err, final_err = compute_row(
+            cfg, coords, cfg.build_inputs() if inputs is None else inputs, reference
         )
-        icfg = cfg.integrator(vf.horizon_T)
-        reference = MeasureTrajectory.load(_reference_paths(out_dir)["reference"])
-
-        result = synthesize_controls(vf, mu0, cfg.synthesis_params(coords), **dict(cfg.fit_options))
-        synthesized = integrate_flow(result.schedule, mu0, icfg)
-
-        sup_err = sup_w2(synthesized, reference)
-        final_target = muf if cfg.kind == "endpoint" else reference.final
-        final_err = w2_exact(synthesized.final, final_target).distance
 
         _atomic_write(row_dir / "schedule.json", result.schedule.to_json() + "\n")
         _write_json(row_dir / "report.json", result.report.to_json_dict())
@@ -487,7 +480,7 @@ def _execute_row(cfg_json: str, coords, out_root: str) -> dict:
             error=f"{type(exc).__name__}: {exc}",
         )
     _write_json(row_dir / "row.json", row.to_dict())
-    return row.to_dict()
+    return row
 
 
 def _load_completed_row(out_dir: Path, coords) -> Optional[ResultRow]:
@@ -543,7 +536,7 @@ def _run_experiment(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "rows").mkdir(exist_ok=True)
-    _prepare_shared(cfg, out_dir)
+    inputs, reference = _prepare_shared(cfg, out_dir)
 
     points = cfg.sweep_points()
     rows_by_coords = {}
@@ -555,17 +548,13 @@ def _run_experiment(
         else:
             pending.append(coords)
 
-    cfg_json = json.dumps(cfg.to_dict())
     if parallel > 1 and len(pending) > 1:
         with ProcessPoolExecutor(max_workers=parallel) as pool:
-            results = list(
-                pool.map(_execute_row, [cfg_json] * len(pending), pending, [str(out_dir)] * len(pending))
-            )
-        for coords, row_dict in zip(pending, results):
-            rows_by_coords[coords] = ResultRow.from_dict(row_dict)
+            rows = pool.map(partial(_execute_row, cfg, out_dir, reference), pending)
+            rows_by_coords.update(zip(pending, rows))
     else:
         for coords in pending:
-            rows_by_coords[coords] = ResultRow.from_dict(_execute_row(cfg_json, coords, str(out_dir)))
+            rows_by_coords[coords] = _execute_row(cfg, out_dir, reference, coords, inputs)
 
     rows = tuple(rows_by_coords[c] for c in points)
     _write_results_csv(out_dir, rows)

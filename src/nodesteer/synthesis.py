@@ -37,7 +37,7 @@ class DegenerateFieldError(ValueError):
     """A zero-width superposition has no oscillation representation."""
 
 
-class ControlSchedule:
+class ControlSchedule(PiecewiseConstField):
     """Piecewise-constant weights: one (A, W, theta) triple active per piece.
 
     Evaluation at (t, x) with active piece (A, W, theta) is A Sigma(W x + theta),
@@ -45,20 +45,11 @@ class ControlSchedule:
     """
 
     def __init__(self, breakpoints: Sequence[float], pieces: Sequence[NeuralTerm], activation: Activation):
-        bp = np.asarray(breakpoints, dtype=float)
-        if bp.ndim != 1 or bp.size < 2 or not np.all(np.diff(bp) > 0):
-            raise ValueError("breakpoints must be strictly increasing with >= 2 entries")
-        pieces = list(pieces)
-        if len(pieces) != bp.size - 1:
-            raise ValueError(f"{bp.size - 1} windows but {len(pieces)} pieces")
-        if not all(isinstance(p, NeuralTerm) for p in pieces):
+        super().__init__(breakpoints, pieces)
+        if not all(isinstance(p, NeuralTerm) for p in self.pieces):
             raise ValueError("every schedule piece must be a single NeuralTerm")
-        if pieces and any(p.dim != pieces[0].dim for p in pieces):
+        if any(p.dim != self.pieces[0].dim for p in self.pieces):
             raise ValueError("all pieces must share one dimension")
-        bp = bp.copy()
-        bp.setflags(write=False)
-        self.breakpoints = bp
-        self.pieces = pieces
         self.activation = activation
 
     @property
@@ -66,22 +57,8 @@ class ControlSchedule:
         return self.pieces[0].dim
 
     @property
-    def horizon(self) -> float:
-        return float(self.breakpoints[-1])
-
-    @property
-    def start(self) -> float:
-        return float(self.breakpoints[0])
-
-    @property
     def piece_count(self) -> int:
         return len(self.pieces)
-
-    def piece_index(self, t: float) -> int:
-        if t < self.breakpoints[0] or t > self.breakpoints[-1]:
-            raise ValueError(f"t = {t} outside [{self.breakpoints[0]}, {self.breakpoints[-1]}]")
-        j = int(np.searchsorted(self.breakpoints, t, side="right")) - 1
-        return min(max(j, 0), len(self.pieces) - 1)
 
     def static_piece(self, j: int) -> Callable[[np.ndarray], np.ndarray]:
         term = self.pieces[j]
@@ -91,9 +68,6 @@ class ControlSchedule:
             return act(np.atleast_2d(x) @ term.W.T + term.theta) @ term.A.T
 
         return piece
-
-    def velocity(self, t: float, x: np.ndarray) -> np.ndarray:
-        return self.static_piece(self.piece_index(t))(x)
 
     def to_json_dict(self) -> dict:
         return {
@@ -208,8 +182,6 @@ def time_average(vf, N: int, horizon: Optional[float] = None) -> PiecewiseConstF
     """
     if N < 1:
         raise ValueError("window count N must be >= 1")
-    if horizon is None:
-        horizon = getattr(vf, "horizon_T", None)
     if horizon is None:
         horizon = getattr(vf, "horizon", None)
     if horizon is None:
@@ -486,7 +458,7 @@ def synthesize_controls(
     d = mu0.dim
     if vf.dim and vf.dim != d:
         raise ValueError(f"ensemble is {d}-dimensional, field is {vf.dim}")
-    T = vf.horizon_T
+    T = vf.horizon
     C = vf.bound_C
     delta = params.fit_tolerance
     r = support_radius(mu0, np.zeros(d))
@@ -565,7 +537,6 @@ def displacement_target_field(
     targets = np.array(muf.points)[result.coupling.assignment]
     moves = targets - x0
     max_move = float(np.max(np.linalg.norm(moves, axis=1)))
-    d = mu0.dim
     inv_two_h2 = 1.0 / (2.0 * smoothing**2)
 
     def evaluator(t, x):
@@ -582,29 +553,16 @@ def displacement_target_field(
     )
     region = Region("ball", mid, np.array([span + 2.0 * smoothing]))
 
-    if max_move == 0.0:
-        bound_c, lipschitz_k = 0.0, 0.0
-    else:
-        probe = _ProbeField(evaluator, 1.0)
-        est = estimate_bounds(probe, region, t_samples=8, x_samples=160, seed=1)
-        bound_c = max_move
-        lipschitz_k = est.K_hat * 1.25
-
-    return VectorFieldSpec(
-        evaluator,
-        bound_C=bound_c,
-        lipschitz_K=lipschitz_k,
-        horizon_T=1.0,
-        dim=d,
+    declared = dict(
+        bound_C=max_move,
+        horizon=1.0,
+        dim=mu0.dim,
         region=region,
         name="displacement-interpolation",
         params={"bandwidth": smoothing, "n": mu0.n},
     )
-
-
-class _ProbeField:
-    """Minimal velocity/horizon wrapper for estimating bounds pre-construction."""
-
-    def __init__(self, evaluator, horizon):
-        self.velocity = lambda t, x: evaluator(t, x)
-        self.horizon_T = horizon
+    lipschitz_k = 0.0
+    if max_move > 0.0:
+        probe = VectorFieldSpec(evaluator, lipschitz_K=0.0, validate=False, **declared)
+        lipschitz_k = estimate_bounds(probe, region, t_samples=8, x_samples=160, seed=1).K_hat * 1.25
+    return VectorFieldSpec(evaluator, lipschitz_K=lipschitz_k, **declared)

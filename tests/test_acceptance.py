@@ -134,8 +134,8 @@ def test_criterion_4_support_containment():
     reports = {}
     for name in ("rotation", "contraction-to-point"):
         vf = benchmark_field(name, {"omega": 1.0} if name == "rotation" else {"rate": 1.0})
-        assert vf.horizon_T < (R + r) / vf.bound_C
-        cfg = IntegratorConfig(base_step=0.01, snap_times=np.linspace(0.0, vf.horizon_T, 11))
+        assert vf.horizon < (R + r) / vf.bound_C
+        cfg = IntegratorConfig(base_step=0.01, snap_times=np.linspace(0.0, vf.horizon, 11))
         traj = integrate_flow(vf, mu0, cfg)
         report = support_growth_check(traj, r=r, R=R, C=vf.bound_C)
         assert report.passed, f"{name}: radius {report.max_radius} vs bound {report.bound}"

@@ -4,6 +4,7 @@ import pytest
 
 from nodesteer.cli import EXIT_ALL_FAILED, EXIT_CONFIG, EXIT_OK, EXIT_PARTIAL, main
 from nodesteer.flow import MeasureTrajectory
+from nodesteer.harness import ConfigError, ExperimentConfig
 from nodesteer.synthesis import ControlSchedule
 
 
@@ -103,6 +104,20 @@ class TestCompare:
         assert blob["report"]["tolerance_met"] is True
         assert "sup_w2" in capsys.readouterr().out
 
+    def test_matches_sweep_row_on_sampled_target(self, tmp_path):
+        payload = _endpoint_payload(seed=0, n_particles=200)
+        payload["target_measure"] = {
+            "kind": "uniform-ball",
+            "params": {"center": [1.5, 0.0], "radius": 0.5},
+        }
+        payload["synthesis"].update(m_width=64, n_osc=4)
+        cfg = _write(tmp_path, "cfg.json", payload)
+        assert main(["compare", "--config", cfg, "--out", str(tmp_path / "cmp")]) == EXIT_OK
+        assert main(["endpoint", "--config", cfg, "--out", str(tmp_path / "sweep")]) == EXIT_OK
+        compared = json.loads((tmp_path / "cmp" / "compare.json").read_text())
+        row = json.loads((tmp_path / "sweep" / "rows" / "navg1_m64_nosc4" / "row.json").read_text())
+        assert (compared["sup_w2"], compared["final_w2"]) == (row["sup_w2"], row["final_w2"])
+
 
 class TestSweep:
     def test_clean_sweep_exit_zero(self, tmp_path, capsys):
@@ -185,6 +200,20 @@ class TestConfigErrors:
         path = tmp_path / "broken.json"
         path.write_text("{oops")
         assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "integrator",
+        [{"method": "rk5"}, {"base_step": 0}, {"base_step": "fast"}, {"snap_times": [0.5, 1.0]}],
+    )
+    def test_bad_integrator_rejected_at_parse(self, integrator, tmp_path):
+        payload = _trajectory_payload(integrator=integrator)
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_dict(payload)
+        cfg = _write(tmp_path, "cfg.json", payload)
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "sweep")]) == EXIT_CONFIG
+        out = tmp_path / "synth"
+        assert main(["synthesize", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["synthesize", "simulate", "compare", "sweep", "endpoint"])
     def test_every_subcommand_validates_config(self, command, tmp_path):

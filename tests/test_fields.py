@@ -184,7 +184,7 @@ class TestVectorFieldSpec:
                 lambda t, x: np.stack([-x[:, 1], x[:, 0]], axis=1),
                 bound_C=0.5,
                 lipschitz_K=1.0,
-                horizon_T=1.0,
+                horizon=1.0,
                 dim=2,
                 region=region,
             )
@@ -196,7 +196,7 @@ class TestVectorFieldSpec:
                 lambda t, x: np.stack([-x[:, 1], x[:, 0]], axis=1),
                 bound_C=2.5,
                 lipschitz_K=0.1,
-                horizon_T=1.0,
+                horizon=1.0,
                 dim=2,
                 region=region,
             )
@@ -207,7 +207,7 @@ class TestVectorFieldSpec:
             lambda t, x: np.zeros_like(x),
             bound_C=0.0,
             lipschitz_K=0.0,
-            horizon_T=1.0,
+            horizon=1.0,
             dim=2,
             region=region,
         )

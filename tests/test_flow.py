@@ -139,7 +139,7 @@ class TestIntegrateFlow:
     def test_divergence_guard(self):
         class Exploding:
             dim = 1
-            horizon_T = 1.0
+            horizon = 1.0
 
             def velocity(self, t, x):
                 return 60.0 * x

@@ -5,6 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import nodesteer.harness as harness
+from nodesteer.flow import MeasureTrajectory
 from nodesteer.harness import (
     RESULTS_HEADER,
     ConfigError,
@@ -157,6 +159,10 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(_endpoint_raw(smoothing=0.0))
 
+    def test_smoothing_must_be_a_number(self):
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_dict(_endpoint_raw(smoothing="wide"))
+
     def test_sweep_points_sorted_and_deduped(self):
         raw = _trajectory_raw()
         raw["synthesis"]["n_osc"] = [4, 1, 4]
@@ -166,7 +172,7 @@ class TestConfigParsing:
 
     def test_translate_target_builds_shifted_ensemble(self):
         cfg = ExperimentConfig.from_dict(_endpoint_raw())
-        mu0, muf = cfg.build_mu0(), cfg.build_muf()
+        mu0, muf, _ = cfg.build_inputs()
         assert np.allclose(muf.points - mu0.points, [0.5, 0.0], atol=1e-15)
 
     def test_row_key_format(self):
@@ -249,12 +255,16 @@ class TestTrajectoryExperiment:
         assert a == b
 
     def test_parallel_matches_sequential(self, tmp_path):
-        cfg = ExperimentConfig.from_dict(_trajectory_raw())
-        run_trajectory_experiment(cfg, tmp_path / "seq", parallel=1)
-        run_trajectory_experiment(cfg, tmp_path / "par", parallel=2)
-        seq = _strip_wall((tmp_path / "seq" / "results.csv").read_text())
-        par = _strip_wall((tmp_path / "par" / "results.csv").read_text())
-        assert seq == par
+        endpoint = _endpoint_raw()
+        endpoint["synthesis"]["n_osc"] = [1, 2]
+        for raw, run in [(_trajectory_raw(), run_trajectory_experiment), (endpoint, run_endpoint_experiment)]:
+            cfg = ExperimentConfig.from_dict(raw)
+            out = tmp_path / cfg.kind
+            run(cfg, out / "seq", parallel=1)
+            run(cfg, out / "par", parallel=2)
+            seq = _strip_wall((out / "seq" / "results.csv").read_text())
+            par = _strip_wall((out / "par" / "results.csv").read_text())
+            assert seq == par
 
     def test_resume_reuses_completed_rows(self, tmp_path):
         cfg = ExperimentConfig.from_dict(_trajectory_raw())
@@ -321,6 +331,27 @@ class TestEndpointExperiment:
         cfg = ExperimentConfig.from_dict(_trajectory_raw())
         with pytest.raises(ConfigError):
             run_endpoint_experiment(cfg, tmp_path)
+
+    def test_sequential_rows_reuse_the_sweep_inputs(self, tmp_path, monkeypatch):
+        calls = {"sample_measure": 0, "displacement_target_field": 0, "load": 0}
+
+        def count(owner, name):
+            original = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return counted
+
+        monkeypatch.setattr(harness, "sample_measure", count(harness, "sample_measure"))
+        monkeypatch.setattr(harness, "displacement_target_field", count(harness, "displacement_target_field"))
+        monkeypatch.setattr(MeasureTrajectory, "load", staticmethod(count(MeasureTrajectory, "load")))
+        raw = _endpoint_raw()
+        raw["synthesis"]["n_osc"] = [1, 2, 4]
+        table = run_endpoint_experiment(ExperimentConfig.from_dict(raw), tmp_path)
+        assert [r.status for r in table.rows] == ["ok"] * 3
+        assert calls == {"sample_measure": 1, "displacement_target_field": 1, "load": 0}
 
 
 def _plot_table(rows, tmp_path):

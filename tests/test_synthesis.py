@@ -114,7 +114,7 @@ class TestTimeAverage:
             lambda t, x: np.broadcast_to(t * v, x.shape).copy(),
             bound_C=np.sqrt(5.0),
             lipschitz_K=0.0,
-            horizon_T=1.0,
+            horizon=1.0,
             dim=2,
             region=region,
         )
@@ -130,7 +130,7 @@ class TestTimeAverage:
             lambda t, x: np.broadcast_to(np.sin(2.0 * np.pi * t) * v, x.shape).copy(),
             bound_C=np.linalg.norm(v),
             lipschitz_K=0.0,
-            horizon_T=1.0,
+            horizon=1.0,
             dim=2,
             region=region,
         )
