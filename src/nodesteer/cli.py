@@ -50,7 +50,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to a JSON experiment config")
         p.add_argument("--out", default=None, help="output directory (overrides config out_dir)")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--parallel", type=int, default=1, help="worker processes for sweep rows")
+        p.add_argument("--parallel", type=int, default=1, help="worker threads for sweep rows")
         p.add_argument("--resume", action="store_true", help="reuse completed rows from a prior run")
     return parser
 

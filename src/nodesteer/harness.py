@@ -4,9 +4,11 @@ An experiment config (strict JSON) names an initial measure, a target (a
 benchmark field or a target measure), synthesis knobs with optional sweep
 lists over (n_avg, m_width, n_osc), and integrator settings. Running it
 produces ``results.csv`` with one row per sweep coordinate, a JSON manifest,
-and per-row schedule/trajectory artifacts under ``rows/<key>/``. Rows are
-isolated: a failing coordinate is recorded as a failed row, never aborts the
-sweep, and reruns with ``resume`` recompute only missing rows.
+and per-row schedule/trajectory artifacts under ``rows/<key>/``. Every row runs
+in this process on the one set of inputs and the one reference the sweep
+builds, in sequence or on worker threads. Rows are isolated: a failing
+coordinate is recorded as a failed row, never aborts the sweep, and reruns
+with ``resume`` recompute only missing rows.
 """
 
 from __future__ import annotations
@@ -14,8 +16,9 @@ from __future__ import annotations
 import json
 import math
 import os
+import shutil
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import product
@@ -195,8 +198,16 @@ class ExperimentConfig:
                 raise ConfigError("smoothing must be positive")
             if cfg.snap_count < 2:
                 raise ConfigError("snap_count must be >= 2")
-            # checks the method, the step and an explicit snapshot grid now, so
-            # a bad integrator fails the parse instead of the first row
+            # Checks the synthesis knobs and the integrator now, so a bad value
+            # fails the parse instead of every row. Seed and fit knobs are
+            # type-checked, not converted, so to_dict() echoes them as given.
+            for knob in [k for k in ("seed", *_FIT_KNOBS) if k in syn]:
+                integer = knob in ("seed", "grid_per_axis", "refine_steps")
+                value = syn[knob]
+                if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+                    raise ConfigError(f"synthesis.{knob} must be {'an integer' if integer else 'a number'}")
+            for coords in cfg.sweep_points():
+                cfg.synthesis_params(coords)
             cfg.integrator(1.0)
             return cfg
         except ConfigError:
@@ -430,55 +441,47 @@ def compute_row(cfg: ExperimentConfig, coords, inputs: tuple, reference: Measure
 def _execute_row(
     cfg: ExperimentConfig,
     out_dir: Path,
-    reference: MeasureTrajectory,
     coords,
-    inputs: Optional[tuple] = None,
+    inputs: tuple,
+    reference: MeasureTrajectory,
 ) -> ResultRow:
-    """Compute one sweep row and write its artifacts; never raises.
+    """Compute one sweep row into a fresh ``rows/<key>/``; never raises.
 
-    Top-level so process pools can pickle it. A sequential sweep passes the
-    inputs it built for the reference. A pool worker gets ``inputs=None`` and
-    rebuilds them with :meth:`ExperimentConfig.build_inputs`, since the field's
-    closures do not pickle; the reference trajectory does and is passed in.
+    ``inputs`` and ``reference`` are the sweep's own, shared read-only by
+    every row; the row writes only its own directory, so rows may run on
+    concurrent threads. The directory is cleared first, so a rerun leaves
+    none of an earlier run's artifacts next to this row's.
     """
     row_dir = out_dir / "rows" / row_key(coords)
-    row_dir.mkdir(parents=True, exist_ok=True)
+    if row_dir.exists():
+        shutil.rmtree(row_dir)
+    row_dir.mkdir(parents=True)
     start = time.perf_counter()
     try:
-        result, synthesized, sup_err, final_err = compute_row(
-            cfg, coords, cfg.build_inputs() if inputs is None else inputs, reference
-        )
+        result, synthesized, sup_err, final_err = compute_row(cfg, coords, inputs, reference)
 
         _atomic_write(row_dir / "schedule.json", result.schedule.to_json() + "\n")
         _write_json(row_dir / "report.json", result.report.to_json_dict())
         traj_dir = row_dir / "trajectory"
         traj_dir.mkdir(exist_ok=True)
         synthesized.save(traj_dir)
-
-        row = ResultRow(
-            n_avg=coords[0],
-            m=coords[1],
-            n_osc=coords[2],
+        outcome = dict(
             sup_w2=sup_err,
             final_w2=final_err,
             max_fit_err=result.report.max_fit_error,
             pieces=result.report.piece_count,
-            wall_s=time.perf_counter() - start,
             status="ok" if result.report.tolerance_met else "tolerance-miss",
         )
     except Exception as exc:  # per-row isolation: a bad row must not kill the sweep
-        row = ResultRow(
-            n_avg=coords[0],
-            m=coords[1],
-            n_osc=coords[2],
+        outcome = dict(
             sup_w2=math.nan,
             final_w2=math.nan,
             max_fit_err=math.nan,
             pieces=0,
-            wall_s=time.perf_counter() - start,
             status="failed",
             error=f"{type(exc).__name__}: {exc}",
         )
+    row = ResultRow(*coords, wall_s=time.perf_counter() - start, **outcome)
     _write_json(row_dir / "row.json", row.to_dict())
     return row
 
@@ -499,28 +502,20 @@ def _write_results_csv(out_dir: Path, rows: Sequence[ResultRow]) -> None:
     _atomic_write(out_dir / "results.csv", "\n".join(lines) + "\n")
 
 
-def _row_files(out_dir: Path, row: ResultRow) -> list:
-    row_dir = out_dir / "rows" / row.key
-    files = [row_dir / "row.json"]
-    if row.status != "failed":
-        files += [row_dir / "schedule.json", row_dir / "report.json"]
-        traj_dir = row_dir / "trajectory"
-        if traj_dir.is_dir():
-            files += sorted(traj_dir.iterdir())
-    return [str(p.relative_to(out_dir)) for p in files if p.exists()]
+def _files_under(out_dir: Path, sub: str) -> list:
+    return sorted(str(p.relative_to(out_dir)) for p in (out_dir / sub).rglob("*") if p.is_file())
 
 
 def _write_manifest(cfg: ExperimentConfig, out_dir: Path, rows: Sequence[ResultRow]) -> None:
     inputs = ["mu0.csv"] + (["muf.csv"] if cfg.kind == "endpoint" else [])
-    reference_dir = out_dir / "reference"
     manifest = {
         "config": cfg.to_dict(),
         "rng": RNG_ALGORITHM,
         "results_csv": "results.csv",
         "inputs": inputs,
-        "reference": sorted(str(p.relative_to(out_dir)) for p in reference_dir.iterdir()),
+        "reference": _files_under(out_dir, "reference"),
         "rows": {
-            r.key: {"status": r.status, "files": _row_files(out_dir, r)}
+            r.key: {"status": r.status, "files": _files_under(out_dir, f"rows/{r.key}")}
             for r in sorted(rows, key=lambda r: r.coords)
         },
     }
@@ -533,6 +528,11 @@ def _run_experiment(
     parallel: int = 1,
     resume: bool = False,
 ) -> ResultTable:
+    """Run every pending row on the sweep's shared inputs and reference.
+
+    ``parallel > 1`` runs rows on up to that many worker threads (at most one
+    per pending row); otherwise rows run in order on the calling thread.
+    """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "rows").mkdir(exist_ok=True)
@@ -548,13 +548,12 @@ def _run_experiment(
         else:
             pending.append(coords)
 
-    if parallel > 1 and len(pending) > 1:
-        with ProcessPoolExecutor(max_workers=parallel) as pool:
-            rows = pool.map(partial(_execute_row, cfg, out_dir, reference), pending)
-            rows_by_coords.update(zip(pending, rows))
+    run_row = partial(_execute_row, cfg, out_dir, inputs=inputs, reference=reference)
+    if parallel > 1:
+        with ThreadPoolExecutor(max_workers=parallel) as pool:
+            rows_by_coords.update(zip(pending, pool.map(run_row, pending)))
     else:
-        for coords in pending:
-            rows_by_coords[coords] = _execute_row(cfg, out_dir, reference, coords, inputs)
+        rows_by_coords.update(zip(pending, map(run_row, pending)))
 
     rows = tuple(rows_by_coords[c] for c in points)
     _write_results_csv(out_dir, rows)

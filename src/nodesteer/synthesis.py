@@ -372,7 +372,8 @@ def oscillation_schedule(nf: NeuralField, window, N: int) -> ControlSchedule:
 
     Splits the window into N periods of m equal subintervals; subinterval i
     carries the single term (m * A_i, W_i, theta_i), so over any full period
-    the gain factor m cancels the 1/m time fraction exactly.
+    the gain factor m cancels the 1/m time fraction exactly. The m scaled
+    terms are built once and shared by all N periods.
     """
     t_a, t_b = float(window[0]), float(window[1])
     if not t_b > t_a:
@@ -384,9 +385,8 @@ def oscillation_schedule(nf: NeuralField, window, N: int) -> ControlSchedule:
         raise DegenerateFieldError(
             "zero-width field has no oscillation representation; substitute an A = 0 piece"
         )
-    breakpoints = np.linspace(t_a, t_b, m * N + 1)
-    pieces = [nf.terms[i].scaled(float(m)) for _ in range(N) for i in range(m)]
-    return ControlSchedule(breakpoints, pieces, nf.activation)
+    scaled = [term.scaled(float(m)) for term in nf.terms]
+    return ControlSchedule(np.linspace(t_a, t_b, m * N + 1), scaled * N, nf.activation)
 
 
 # -- full pipeline ------------------------------------------------------------------

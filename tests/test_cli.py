@@ -202,11 +202,22 @@ class TestConfigErrors:
         assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
 
     @pytest.mark.parametrize(
-        "integrator",
-        [{"method": "rk5"}, {"base_step": 0}, {"base_step": "fast"}, {"snap_times": [0.5, 1.0]}],
+        "section, entries",
+        [
+            pytest.param("integrator", {"method": "rk5"}, id="integrator0"),
+            pytest.param("integrator", {"base_step": 0}, id="integrator1"),
+            pytest.param("integrator", {"base_step": "fast"}, id="integrator2"),
+            pytest.param("integrator", {"snap_times": [0.5, 1.0]}, id="integrator3"),
+            pytest.param("synthesis", {"region_margin": 0.5}, id="synthesis0"),
+            pytest.param("synthesis", {"fit_tolerance": -1}, id="synthesis1"),
+            pytest.param("synthesis", {"seed": "x"}, id="synthesis2"),
+            pytest.param("synthesis", {"grid_per_axis": "8"}, id="synthesis3"),
+            pytest.param("synthesis", {"refine_steps": "3"}, id="synthesis4"),
+            pytest.param("synthesis", {"ridge": "big"}, id="synthesis5"),
+        ],
     )
-    def test_bad_integrator_rejected_at_parse(self, integrator, tmp_path):
-        payload = _trajectory_payload(integrator=integrator)
+    def test_bad_integrator_rejected_at_parse(self, section, entries, tmp_path):
+        payload = _trajectory_payload(**{section: entries})
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(payload)
         cfg = _write(tmp_path, "cfg.json", payload)

@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -312,6 +314,19 @@ class TestTrajectoryExperiment:
         assert failed_row.stat().st_mtime_ns != stamp
         assert {r.status for r in table.rows} == {"ok", "failed"}
 
+    def test_rerun_clears_the_previous_row_artifacts(self, tmp_path):
+        raw = _trajectory_raw()
+        raw["synthesis"].update(m_width=64, n_osc=1)
+        (first,) = run_trajectory_experiment(ExperimentConfig.from_dict(raw), tmp_path).rows
+        assert first.status == "ok"
+        raw["synthesis"]["grid_per_axis"] = 3
+        (second,) = run_trajectory_experiment(ExperimentConfig.from_dict(raw), tmp_path).rows
+        assert second.status == "failed"
+        row_dir = tmp_path / "rows" / second.key
+        assert sorted(p.name for p in row_dir.rglob("*")) == ["row.json"]
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["rows"][second.key]["files"] == [f"rows/{second.key}/row.json"]
+
     def test_kind_mismatch(self, tmp_path):
         cfg = ExperimentConfig.from_dict(_endpoint_raw())
         with pytest.raises(ConfigError):
@@ -352,6 +367,31 @@ class TestEndpointExperiment:
         table = run_endpoint_experiment(ExperimentConfig.from_dict(raw), tmp_path)
         assert [r.status for r in table.rows] == ["ok"] * 3
         assert calls == {"sample_measure": 1, "displacement_target_field": 1, "load": 0}
+
+    @pytest.mark.parametrize("parallel", [1, 2])
+    def test_rows_run_in_process_on_the_sweep_inputs(self, tmp_path, monkeypatch, parallel):
+        built, ran = [], []
+        build_inputs, compute_row = ExperimentConfig.build_inputs, harness.compute_row
+
+        def recording_build_inputs(cfg):
+            built.append(build_inputs(cfg))
+            return built[-1]
+
+        def recording_compute_row(cfg, coords, inputs, reference):
+            ran.append((coords, os.getpid(), threading.get_ident(), inputs))
+            return compute_row(cfg, coords, inputs, reference)
+
+        monkeypatch.setattr(ExperimentConfig, "build_inputs", recording_build_inputs)
+        monkeypatch.setattr(harness, "compute_row", recording_compute_row)
+        raw = _endpoint_raw()
+        raw["synthesis"]["n_osc"] = [1, 2, 4]
+        table = run_endpoint_experiment(ExperimentConfig.from_dict(raw), tmp_path, parallel=parallel)
+        assert [r.status for r in table.rows] == ["ok"] * 3
+        assert len(built) == 1
+        assert sorted(coords for coords, *_ in ran) == [r.coords for r in table.rows]
+        assert all(pid == os.getpid() and inputs is built[0] for _, pid, _, inputs in ran)
+        if parallel == 1:
+            assert {thread for _, _, thread, _ in ran} == {threading.get_ident()}
 
 
 def _plot_table(rows, tmp_path):

@@ -251,6 +251,15 @@ class TestOscillationSchedule:
         lengths = np.diff(sched.breakpoints)
         assert np.allclose(lengths, 1.0 / 15.0, rtol=1e-12, atol=0)
 
+    def test_periods_share_the_scaled_terms(self):
+        rng = np.random.default_rng(0)
+        nf = NeuralField(tuple(_term(rng) for _ in range(3)), Activation("logistic"))
+        sched = oscillation_schedule(nf, (0.0, 1.0), 4)
+        assert all(sched.pieces[j] is sched.pieces[j + 3] for j in range(9))
+        assert len({id(p) for p in sched.pieces}) == 3
+        for j, piece in enumerate(sched.pieces):
+            assert np.array_equal(piece.A, 3.0 * nf.terms[j % 3].A)
+
     def test_single_term_oscillation_is_constant(self):
         rng = np.random.default_rng(1)
         term = _term(rng)
