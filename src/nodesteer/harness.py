@@ -122,8 +122,8 @@ class ExperimentConfig:
         if kind == "endpoint" and "target_measure" not in raw:
             raise ConfigError("endpoint config needs a 'target_measure' entry")
 
-        if not isinstance(raw["seed"], int) or isinstance(raw["seed"], bool):
-            raise ConfigError("seed must be an integer")
+        if not isinstance(raw["seed"], int) or isinstance(raw["seed"], bool) or raw["seed"] < 0:
+            raise ConfigError("seed must be a nonnegative integer")
         n_particles = raw["n_particles"]
         if not isinstance(n_particles, int) or isinstance(n_particles, bool) or n_particles < 1:
             raise ConfigError("n_particles must be an integer >= 1")
@@ -206,6 +206,8 @@ class ExperimentConfig:
                 value = syn[knob]
                 if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
                     raise ConfigError(f"synthesis.{knob} must be {'an integer' if integer else 'a number'}")
+                if knob == "seed" and value < 0:
+                    raise ConfigError("synthesis.seed must be a nonnegative integer")
             for coords in cfg.sweep_points():
                 cfg.synthesis_params(coords)
             cfg.integrator(1.0)

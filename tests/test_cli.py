@@ -214,6 +214,8 @@ class TestConfigErrors:
             pytest.param("synthesis", {"grid_per_axis": "8"}, id="synthesis3"),
             pytest.param("synthesis", {"refine_steps": "3"}, id="synthesis4"),
             pytest.param("synthesis", {"ridge": "big"}, id="synthesis5"),
+            pytest.param("synthesis", {"seed": -1}, id="synthesis6"),
+            pytest.param("seed", -1, id="seed0"),
         ],
     )
     def test_bad_integrator_rejected_at_parse(self, section, entries, tmp_path):

@@ -11,6 +11,7 @@ from nodesteer.flow import (
     support_growth_check,
 )
 from nodesteer.measures import ParticleEnsemble, sample_measure, MeasureSpec
+from nodesteer.transport import w2_exact
 
 
 def _disk(n=100, seed=0, radius=1.0):
@@ -226,6 +227,18 @@ class TestLipschitzCurve:
         report = lipschitz_curve_check(traj, C=1.0)
         assert report.passed
         assert report.max_quotient == 0.0
+
+    def test_matches_solving_every_pair(self):
+        vf = benchmark_field("rotation", {"omega": 1.0, "radius": 2.0})
+        traj = integrate_flow(vf, _disk(40, seed=2), IntegratorConfig(snap_times=np.linspace(0, 1, 9)))
+        quotients = [
+            w2_exact(traj.snapshots[j + 1], traj.snapshots[j]).distance / float(traj.times[j + 1] - traj.times[j])
+            for j in range(traj.times.size - 1)
+        ]
+        j = int(np.argmax(quotients))
+        report = lipschitz_curve_check(traj, C=2.0)
+        assert report.max_quotient == max(quotients)
+        assert report.argmax_pair == (float(traj.times[j]), float(traj.times[j + 1]))
 
     def test_needs_two_snapshots(self):
         traj = MeasureTrajectory(np.array([0.0]), [ParticleEnsemble([[0.0]])], {})

@@ -327,6 +327,17 @@ class TestTrajectoryExperiment:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["rows"][second.key]["files"] == [f"rows/{second.key}/row.json"]
 
+    def test_rerun_with_fewer_snapshots_drops_the_old_reference_files(self, tmp_path):
+        raw = _trajectory_raw()
+        raw["integrator"]["snap_count"] = 5
+        run_trajectory_experiment(ExperimentConfig.from_dict(raw), tmp_path)
+        raw["integrator"]["snap_count"] = 3
+        run_trajectory_experiment(ExperimentConfig.from_dict(raw), tmp_path)
+        expected = [f"reference/snap_{i}.csv" for i in range(3)] + ["reference/trajectory.json"]
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["reference"] == expected
+        assert sorted(str(p.relative_to(tmp_path)) for p in (tmp_path / "reference").iterdir()) == expected
+
     def test_kind_mismatch(self, tmp_path):
         cfg = ExperimentConfig.from_dict(_endpoint_raw())
         with pytest.raises(ConfigError):

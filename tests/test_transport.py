@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nodesteer.flow import IntegratorConfig, integrate_flow
+import nodesteer.transport as transport
+from nodesteer.flow import IntegratorConfig, MeasureTrajectory, integrate_flow
 from nodesteer.fields import benchmark_field
 from nodesteer.measures import ParticleEnsemble
-from nodesteer.transport import sup_w2, w2_bruteforce, w2_exact
+from nodesteer.transport import _identity_w2, _max_w2, sup_w2, w2_bruteforce, w2_exact
 
 
 def _random_pair(rng, n, d, scale=1.0):
@@ -137,3 +138,82 @@ class TestSupW2:
         )
         with pytest.raises(ValueError):
             sup_w2(traj, other)
+
+
+class TestPrunedMax:
+    """sup_w2 solves only snapshots whose identity-coupling bound reaches the max."""
+
+    def _count_solves(self, monkeypatch):
+        calls = []
+        original = transport.w2_exact
+
+        def counted(mu, nu):
+            calls.append((mu, nu))
+            return original(mu, nu)
+
+        monkeypatch.setattr(transport, "w2_exact", counted)
+        return calls
+
+    def test_equals_the_max_of_every_solve_when_identity_is_not_optimal(self):
+        traj, frozen = TestSupW2()._trajectories()
+        pairs = list(zip(traj.snapshots, frozen.snapshots))
+        exact = [w2_exact(a, b).distance for a, b in pairs]
+        j = int(np.argmax(exact))
+        # the rotated cloud is better matched to a relabelling of itself
+        assert w2_exact(*pairs[j]).distance < _identity_w2(*pairs[j])
+        assert sup_w2(traj, frozen) == max(exact)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 9])
+    def test_bound_equals_the_solve_bitwise_when_identity_is_optimal(self, d):
+        rng = np.random.default_rng(d)
+        mu = ParticleEnsemble(rng.normal(size=(200, d)))
+        nu = mu.translate(rng.normal(size=d))
+        assert _identity_w2(mu, nu) == w2_exact(mu, nu).distance
+
+    def test_translated_copy_takes_one_solve(self, monkeypatch):
+        mu0 = ParticleEnsemble(np.random.default_rng(3).normal(size=(40, 2)))
+        times = np.linspace(0.0, 1.0, 6)
+        moving = MeasureTrajectory(times, [mu0.translate([3.0 * t, -t]) for t in times])
+        frozen = MeasureTrajectory(times, [mu0] * times.size)
+        calls = self._count_solves(monkeypatch)
+        assert sup_w2(moving, frozen) == pytest.approx(np.hypot(3.0, 1.0), rel=1e-12)
+        assert len(calls) == 1
+        assert calls[0][0] is moving.final
+
+    def test_tied_maximum_reports_the_earliest_pair(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        x = ParticleEnsemble(rng.normal(size=(12, 2)))
+        shifted = x.translate([0.5, 0.25])
+        relabelled = ParticleEnsemble(shifted.points[rng.permutation(12)])
+        small = (x, x.translate([0.1, 0.0]))
+        # pair 2 holds the same W2 as pair 1 but a looser bound, so it is solved first
+        pairs = [small, (x, shifted), (x, relabelled), (x, shifted)]
+        assert _identity_w2(*pairs[2]) > _identity_w2(*pairs[1])
+        calls = self._count_solves(monkeypatch)
+        value, j = _max_w2(pairs, [1.0] * len(pairs))
+        assert (value, j) == (w2_exact(x, shifted).distance, 1)
+        assert calls[0][1] is relabelled
+
+    def test_all_zero_has_no_argmax(self):
+        x = ParticleEnsemble([[0.0, 1.0], [2.0, 3.0]])
+        assert _max_w2([(x, x), (x, x)], [0.5, 0.5]) == (0.0, None)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(1, 8),
+        st.integers(1, 3),
+        st.integers(1, 3),
+        st.floats(0.0, 2.0),
+        st.integers(0, 10_000),
+    )
+    def test_agrees_with_bruteforce(self, n, d, snaps, spread, seed):
+        rng = np.random.default_rng(seed)
+        base = rng.normal(size=(snaps, n, d))
+        moved = base + rng.normal(size=(snaps, 1, d)) + spread * rng.normal(size=(snaps, n, d))
+        times = np.arange(snaps, dtype=float)
+        traj_a = MeasureTrajectory(times, [ParticleEnsemble(p) for p in base])
+        traj_b = MeasureTrajectory(times, [ParticleEnsemble(p) for p in moved])
+        brute = max(
+            w2_bruteforce(a, b).distance for a, b in zip(traj_a.snapshots, traj_b.snapshots)
+        )
+        assert abs(sup_w2(traj_a, traj_b) - brute) <= 1e-12
