@@ -6,36 +6,46 @@ lists over (n_avg, m_width, n_osc), and integrator settings. Running it
 produces ``results.csv`` with one row per sweep coordinate, a JSON manifest,
 and per-row schedule/trajectory artifacts under ``rows/<key>/``. Every row runs
 in this process on the one set of inputs and the one reference the sweep
-builds, in sequence or on worker threads. Rows are isolated: a failing
-coordinate is recorded as a failed row, never aborts the sweep, and reruns
-with ``resume`` recompute only missing rows.
+builds, in sequence or on worker threads. Rows that share (n_avg, m_width)
+differ only in n_osc and share one superposition fit, computed once per
+sweep; the row that computes it counts it in its ``wall_s``. Rows are
+isolated: a failing coordinate is recorded as a failed row and never aborts
+the sweep. Reruns with ``resume`` reuse a completed row only when it was
+computed under the same config (every key but ``out_dir`` and the three sweep
+lists) and its artifacts are present; every other row is recomputed.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
 import shutil
+import threading
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import product
 from pathlib import Path
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
 from .fields import benchmark_field
-from .flow import IntegratorConfig, MeasureTrajectory, integrate_flow
+from .flow import IntegratorConfig, MeasureTrajectory, integrate_flow, support_growth_check
 from .measures import RNG_ALGORITHM, MeasureSpec, ParticleEnsemble, sample_measure
 from .synthesis import (
     SynthesisParams,
+    WindowFits,
+    check_piece_cap,
     displacement_target_field,
-    synthesize_controls,
+    fit_windows,
+    schedule_windows,
 )
-from .transport import sup_w2, w2_exact
+from .transport import SupW2, sup_w2, w2_exact
 
 RESULTS_HEADER = "n_avg,m,n_osc,sup_w2,final_w2,max_fit_err,pieces,wall_s,status"
 
@@ -423,21 +433,98 @@ def _prepare_shared(cfg: ExperimentConfig, out_dir: Path) -> tuple:
     return inputs, reference
 
 
-def compute_row(cfg: ExperimentConfig, coords, inputs: tuple, reference: MeasureTrajectory) -> tuple:
+def _fit_windows(cfg: ExperimentConfig, inputs: tuple, params: SynthesisParams) -> WindowFits:
+    mu0, _, vf = inputs
+    return fit_windows(vf, mu0, params, **dict(cfg.fit_options))
+
+
+class _FitMemo:
+    """One sweep's window fits, each (n_avg, m_width) fitted once.
+
+    Called with a row's SynthesisParams, it returns that row's fits. Rows of
+    one key differ only in n_osc, which the fit stage does not read. Each key
+    has its own lock: a row waits for a fit of its key already running, while
+    fits of different keys run at the same time on worker threads. A fit that
+    raises is not stored, so the next row of its key fits again and fails the
+    same way.
+    """
+
+    def __init__(self, fit: Callable[[SynthesisParams], WindowFits]):
+        self._fit = fit
+        self._lock = threading.Lock()
+        self._key_locks = {}
+        self._fits = {}
+
+    def __call__(self, params: SynthesisParams) -> WindowFits:
+        key = (params.n_avg, params.m_width)
+        with self._lock:
+            key_lock = self._key_locks.setdefault(key, threading.Lock())
+        with key_lock:
+            if key not in self._fits:
+                self._fits[key] = self._fit(params)
+            return self._fits[key]
+
+
+def compute_row(
+    cfg: ExperimentConfig,
+    coords,
+    inputs: tuple,
+    reference: MeasureTrajectory,
+    window_fits: Optional[Callable[[SynthesisParams], WindowFits]] = None,
+) -> tuple:
     """Synthesize at one sweep coordinate and measure the schedule's flow.
 
     ``inputs`` is :meth:`ExperimentConfig.build_inputs`'s (mu0, muf, field)
     and ``reference`` the field's flow from mu0 on the config's snapshot grid.
-    Returns (synthesis result, synthesized trajectory, sup_w2, final_w2).
+    ``window_fits`` supplies the fit stage's result for the row's params (a
+    sweep's :class:`_FitMemo`); without it the row fits directly. Returns
+    (synthesis result, synthesized trajectory, sup_w2, final_w2).
     ``final_w2`` is measured against muf for endpoint configs and against the
-    reference's final snapshot for trajectory configs.
+    reference's final snapshot for trajectory configs, where it reuses
+    ``sup_w2``'s solve when the maximum sits at that snapshot.
     """
     mu0, muf, vf = inputs
-    result = synthesize_controls(vf, mu0, cfg.synthesis_params(coords), **dict(cfg.fit_options))
+    params = cfg.synthesis_params(coords)
+    check_piece_cap(params)
+    fits = _fit_windows(cfg, inputs, params) if window_fits is None else window_fits(params)
+    result = schedule_windows(fits, params)
     synthesized = integrate_flow(result.schedule, mu0, cfg.integrator(vf.horizon))
-    sup_err = sup_w2(synthesized, reference)
-    final_err = w2_exact(synthesized.final, reference.final if muf is None else muf).distance
-    return result, synthesized, sup_err, final_err
+    sup = sup_w2(synthesized, reference)
+    if muf is None and isinstance(sup, SupW2) and sup.index == len(reference.snapshots) - 1:
+        final_err = float(sup)  # sup_w2 solved the final pair: it holds the maximum
+    else:
+        final_err = w2_exact(synthesized.final, reference.final if muf is None else muf).distance
+    return result, synthesized, float(sup), final_err
+
+
+def _support_growth(report, synthesized: MeasureTrajectory) -> Optional[dict]:
+    """The synthesized flow's containment in Omega = B_{R+r}(0), where the fit holds.
+
+    None when mu0 sits at the origin (r = 0), which the check does not take.
+    """
+    if not report.support_radius > 0:
+        return None
+    check = support_growth_check(
+        synthesized, report.support_radius, report.region_R, report.bound_C + report.delta
+    )
+    return check.to_dict()
+
+
+def _config_fingerprint(cfg: ExperimentConfig) -> str:
+    """sha256 of the config without ``out_dir`` and the three sweep lists.
+
+    Two configs with one fingerprint compute the same row at the same
+    coordinates, so ``resume`` may reuse a row only under its own fingerprint.
+    """
+    d = cfg.to_dict()
+    d.pop("out_dir", None)
+    for key in ("n_avg", "m_width", "n_osc"):
+        del d["synthesis"][key]
+    return hashlib.sha256(json.dumps(d, sort_keys=True).encode()).hexdigest()
+
+
+# artifacts a completed row must still have for ``resume`` to reuse it
+_ROW_ARTIFACTS = ("schedule.json", "report.json", "trajectory/trajectory.json")
 
 
 def _execute_row(
@@ -446,11 +533,12 @@ def _execute_row(
     coords,
     inputs: tuple,
     reference: MeasureTrajectory,
+    window_fits: Callable[[SynthesisParams], WindowFits],
 ) -> ResultRow:
     """Compute one sweep row into a fresh ``rows/<key>/``; never raises.
 
-    ``inputs`` and ``reference`` are the sweep's own, shared read-only by
-    every row; the row writes only its own directory, so rows may run on
+    ``inputs``, ``reference`` and ``window_fits`` are the sweep's own, shared
+    by every row; the row writes only its own directory, so rows may run on
     concurrent threads. The directory is cleared first, so a rerun leaves
     none of an earlier run's artifacts next to this row's.
     """
@@ -460,10 +548,12 @@ def _execute_row(
     row_dir.mkdir(parents=True)
     start = time.perf_counter()
     try:
-        result, synthesized, sup_err, final_err = compute_row(cfg, coords, inputs, reference)
+        result, synthesized, sup_err, final_err = compute_row(cfg, coords, inputs, reference, window_fits)
 
         _atomic_write(row_dir / "schedule.json", result.schedule.to_json() + "\n")
-        _write_json(row_dir / "report.json", result.report.to_json_dict())
+        report = result.report.to_json_dict()
+        report["support_growth"] = _support_growth(result.report, synthesized)
+        _write_json(row_dir / "report.json", report)
         traj_dir = row_dir / "trajectory"
         traj_dir.mkdir(exist_ok=True)
         synthesized.save(traj_dir)
@@ -484,19 +574,24 @@ def _execute_row(
             error=f"{type(exc).__name__}: {exc}",
         )
     row = ResultRow(*coords, wall_s=time.perf_counter() - start, **outcome)
-    _write_json(row_dir / "row.json", row.to_dict())
+    _write_json(row_dir / "row.json", {**row.to_dict(), "config_sha256": _config_fingerprint(cfg)})
     return row
 
 
-def _load_completed_row(out_dir: Path, coords) -> Optional[ResultRow]:
-    path = out_dir / "rows" / row_key(coords) / "row.json"
+def _load_completed_row(out_dir: Path, coords, fingerprint: str) -> Optional[ResultRow]:
+    """The row at coords if it completed under this fingerprint with its artifacts."""
+    row_dir = out_dir / "rows" / row_key(coords)
+    path = row_dir / "row.json"
     if not path.exists():
         return None
     try:
-        row = ResultRow.from_dict(json.loads(path.read_text()))
-    except (ValueError, KeyError):
+        saved = json.loads(path.read_text())
+        row = ResultRow.from_dict(saved)
+    except (ValueError, KeyError, TypeError):
         return None
-    return row if row.coords == coords and row.status != "failed" else None
+    if saved.get("config_sha256") != fingerprint or row.coords != coords or row.status == "failed":
+        return None
+    return row if all((row_dir / name).is_file() for name in _ROW_ARTIFACTS) else None
 
 
 def _write_results_csv(out_dir: Path, rows: Sequence[ResultRow]) -> None:
@@ -532,8 +627,14 @@ def _run_experiment(
 ) -> ResultTable:
     """Run every pending row on the sweep's shared inputs and reference.
 
-    ``parallel > 1`` runs rows on up to that many worker threads (at most one
-    per pending row); otherwise rows run in order on the calling thread.
+    Rows that share (n_avg, m_width) share one fit: the sweep's
+    :class:`_FitMemo`, dropped when the sweep returns, fits each key once, in
+    the ``wall_s`` of the row that needs it first. ``parallel > 1`` runs rows
+    on up to that many worker threads (at most one per pending row),
+    starting one row of every key before the second of any, so that distinct
+    fits run at the same time; otherwise rows run in that order on the
+    calling thread. With ``resume``, a row computed under the same config
+    (see :func:`_config_fingerprint`) whose artifacts remain is kept as is.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -541,16 +642,27 @@ def _run_experiment(
     inputs, reference = _prepare_shared(cfg, out_dir)
 
     points = cfg.sweep_points()
+    fingerprint = _config_fingerprint(cfg)
     rows_by_coords = {}
     pending = []
     for coords in points:
-        prior = _load_completed_row(out_dir, coords) if resume else None
+        prior = _load_completed_row(out_dir, coords, fingerprint) if resume else None
         if prior is not None:
             rows_by_coords[coords] = prior
         else:
             pending.append(coords)
+    # the k-th pending row of every (n_avg, m) key before the (k+1)-th of any
+    rank = Counter()
+    ranked = []
+    for coords in pending:
+        ranked.append((rank[coords[:2]], coords))
+        rank[coords[:2]] += 1
+    pending = [coords for _, coords in sorted(ranked)]
 
-    run_row = partial(_execute_row, cfg, out_dir, inputs=inputs, reference=reference)
+    window_fits = _FitMemo(partial(_fit_windows, cfg, inputs))
+    run_row = partial(
+        _execute_row, cfg, out_dir, inputs=inputs, reference=reference, window_fits=window_fits
+    )
     if parallel > 1:
         with ThreadPoolExecutor(max_workers=parallel) as pool:
             rows_by_coords.update(zip(pending, pool.map(run_row, pending)))

@@ -1,11 +1,13 @@
 """Constructive synthesis of piecewise-constant neural-ODE control schedules.
 
 The pipeline turns a bounded Lipschitz target field into an admissible weight
-schedule in three stages: window time-averaging, per-window superposition
-fitting on a compact set sized from the declared bounds, and periodic
-oscillation scheduling whose period-mean reproduces each fitted superposition
-exactly. A displacement-interpolation target builder covers the steering
-problem between two given ensembles.
+schedule in two stages. The fit stage (:func:`fit_windows`) time-averages the
+field over windows and fits one superposition per window on a compact set
+sized from the declared bounds. The schedule stage (:func:`schedule_windows`)
+switches each fitted superposition in a periodic oscillation whose
+period-mean reproduces it exactly. Only the schedule stage reads the period
+count n_osc, so one fit serves every n_osc. A displacement-interpolation
+target builder covers the steering problem between two given ensembles.
 """
 
 from __future__ import annotations
@@ -128,7 +130,7 @@ class SynthesisParams:
         }
 
 
-# -- stage 1: window time averages ----------------------------------------------
+# -- window time averages ------------------------------------------------------
 
 
 def _simpson_coefficients(subintervals: int) -> np.ndarray:
@@ -197,7 +199,7 @@ def time_average(vf, N: int, horizon: Optional[float] = None) -> PiecewiseConstF
     return PiecewiseConstField(windows, pieces)
 
 
-# -- stage 2: superposition fitting ----------------------------------------------
+# -- superposition fitting ------------------------------------------------------
 
 _DEFAULT_GRID_PER_AXIS = {1: 256, 2: 32, 3: 12}
 
@@ -364,7 +366,7 @@ def _refine_parameters(x, y, As, Ws, thetas, activation, steps, lr):
     return A, W, th
 
 
-# -- stage 3: oscillation scheduling ----------------------------------------------
+# -- oscillation scheduling -----------------------------------------------------
 
 
 def oscillation_schedule(nf: NeuralField, window, N: int) -> ControlSchedule:
@@ -389,7 +391,7 @@ def oscillation_schedule(nf: NeuralField, window, N: int) -> ControlSchedule:
     return ControlSchedule(np.linspace(t_a, t_b, m * N + 1), scaled * N, nf.activation)
 
 
-# -- full pipeline ------------------------------------------------------------------
+# -- full pipeline: the fit stage and the schedule stage ------------------------
 
 
 @dataclass(frozen=True)
@@ -436,25 +438,48 @@ def _window_seeds(seed: int, count: int) -> list:
     return [int(s) for s in np.random.SeedSequence(seed).generate_state(count)]
 
 
-def synthesize_controls(
-    vf: VectorFieldSpec,
-    mu0: ParticleEnsemble,
-    params: SynthesisParams,
-    activation: Activation = Activation("logistic"),
-    **fit_kwargs,
-) -> SynthesisResult:
-    """Run the full synthesis pipeline against a declared-bound target field.
-
-    Sizes the fitting set Omega = B_{R+r}(0) from the initial support radius r
-    and R = region_margin * T * (C + delta), which keeps T < (R+r)/(C+delta)
-    strictly; then time-averages, fits one superposition per window on Omega,
-    expands each into an oscillation schedule, and concatenates.
-    """
+def check_piece_cap(params: SynthesisParams) -> None:
+    """Reject a schedule of more than MAX_SCHEDULE_PIECES pieces before any fitting."""
     total_pieces = params.n_avg * params.m_width * params.n_osc
     if total_pieces > MAX_SCHEDULE_PIECES:
         raise ValueError(
             f"{total_pieces} pieces exceed the {MAX_SCHEDULE_PIECES} schedule cap"
         )
+
+
+@dataclass(frozen=True)
+class WindowFits:
+    """The fit stage's output: Omega's sizing and one superposition per window.
+
+    Nothing here depends on the period count n_osc, so one instance serves
+    the schedule stage at every n_osc.
+    """
+
+    activation: Activation
+    dim: int
+    support_radius: float
+    region_R: float
+    bound_C: float
+    delta: float
+    windows: tuple  # (a, b) per averaging window, in time order
+    fits: tuple  # SuperpositionFit per window
+
+
+def fit_windows(
+    vf: VectorFieldSpec,
+    mu0: ParticleEnsemble,
+    params: SynthesisParams,
+    activation: Activation = Activation("logistic"),
+    **fit_kwargs,
+) -> WindowFits:
+    """Fit stage: size Omega, time-average the field, fit each window.
+
+    Sizes the fitting set Omega = B_{R+r}(0) from the initial support radius r
+    and R = region_margin * T * (C + delta), which keeps T < (R+r)/(C+delta)
+    strictly; then averages the field over params.n_avg windows and fits one
+    params.m_width-term superposition per window on Omega. params.n_osc is
+    not read.
+    """
     d = mu0.dim
     if vf.dim and vf.dim != d:
         raise ValueError(f"ensemble is {d}-dimensional, field is {vf.dim}")
@@ -468,11 +493,9 @@ def synthesize_controls(
     averaged = time_average(vf, params.n_avg)
     seeds = _window_seeds(params.seed, params.n_avg)
 
-    all_breakpoints = [0.0]
-    all_pieces = []
-    window_fits = []
+    windows, fits = [], []
     for w in range(params.n_avg):
-        a, b = float(averaged.breakpoints[w]), float(averaged.breakpoints[w + 1])
+        windows.append((float(averaged.breakpoints[w]), float(averaged.breakpoints[w + 1])))
         target = averaged.static_piece(w)
         window_kwargs = dict(fit_kwargs)
         if (
@@ -483,9 +506,26 @@ def synthesize_controls(
         ):
             # window target already admissible: warm-start with its own terms
             window_kwargs["init_terms"] = target.terms
-        fit = fit_superposition(
-            target, omega, params.m_width, delta, seeds[w], activation=activation, **window_kwargs
+        fits.append(
+            fit_superposition(
+                target, omega, params.m_width, delta, seeds[w], activation=activation, **window_kwargs
+            )
         )
+    return WindowFits(activation, d, r, R, C, delta, tuple(windows), tuple(fits))
+
+
+def schedule_windows(fits: WindowFits, params: SynthesisParams) -> SynthesisResult:
+    """Schedule stage: oscillate each window's fit over params.n_osc periods.
+
+    Concatenates the window schedules and reports the run under params. A
+    window whose fit is identically zero gets one quiescent piece instead.
+    The caller checks the piece cap first (:func:`check_piece_cap`).
+    """
+    d, activation = fits.dim, fits.activation
+    all_breakpoints = [0.0]
+    all_pieces = []
+    window_fits = []
+    for (a, b), fit in zip(fits.windows, fits.fits):
         if all(np.all(t.A == 0.0) for t in fit.field.terms):
             # zero window: a single quiescent piece instead of an oscillation
             window_schedule = ControlSchedule(
@@ -497,23 +537,38 @@ def synthesize_controls(
             window_schedule = oscillation_schedule(fit.field, (a, b), params.n_osc)
         all_breakpoints.extend(window_schedule.breakpoints[1:].tolist())
         all_pieces.extend(window_schedule.pieces)
-        entry = {"window": [a, b], **fit.to_dict()}
-        window_fits.append(entry)
+        window_fits.append({"window": [a, b], **fit.to_dict()})
 
     schedule = ControlSchedule(np.asarray(all_breakpoints), all_pieces, activation)
     report = SynthesisReport(
         params=params,
         activation=activation.kind,
-        support_radius=r,
-        region_R=R,
-        omega_radius=R + r,
-        bound_C=C,
-        delta=delta,
+        support_radius=fits.support_radius,
+        region_R=fits.region_R,
+        omega_radius=fits.region_R + fits.support_radius,
+        bound_C=fits.bound_C,
+        delta=fits.delta,
         window_fits=tuple(window_fits),
         piece_count=schedule.piece_count,
         tolerance_met=all(w["tolerance_met"] for w in window_fits),
     )
     return SynthesisResult(schedule, report)
+
+
+def synthesize_controls(
+    vf: VectorFieldSpec,
+    mu0: ParticleEnsemble,
+    params: SynthesisParams,
+    activation: Activation = Activation("logistic"),
+    **fit_kwargs,
+) -> SynthesisResult:
+    """Run the full synthesis pipeline against a declared-bound target field.
+
+    Checks the piece cap, then runs the fit stage (:func:`fit_windows`) and
+    the schedule stage (:func:`schedule_windows`) at params.n_osc.
+    """
+    check_piece_cap(params)
+    return schedule_windows(fit_windows(vf, mu0, params, activation, **fit_kwargs), params)
 
 
 # -- steering target from two ensembles ------------------------------------------

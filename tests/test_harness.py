@@ -1,14 +1,20 @@
 import json
 import math
 import os
+import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import nodesteer.harness as harness
-from nodesteer.flow import MeasureTrajectory
+import nodesteer.synthesis as synthesis
+import nodesteer.transport as transport
+from nodesteer.flow import MeasureTrajectory, integrate_flow, support_growth_check
+from nodesteer.measures import ParticleEnsemble
+from nodesteer.synthesis import SynthesisParams
 from nodesteer.harness import (
     RESULTS_HEADER,
     ConfigError,
@@ -338,6 +344,122 @@ class TestTrajectoryExperiment:
         assert manifest["reference"] == expected
         assert sorted(str(p.relative_to(tmp_path)) for p in (tmp_path / "reference").iterdir()) == expected
 
+    def _row_stamps(self, out_dir):
+        return {p.parent.name: p.stat().st_mtime_ns for p in (out_dir / "rows").glob("*/row.json")}
+
+    def test_resume_after_a_seed_change_recomputes_every_row(self, tmp_path):
+        raw = _endpoint_raw(seed=0)
+        raw["synthesis"]["n_osc"] = [1, 2]
+        run_endpoint_experiment(ExperimentConfig.from_dict(raw), tmp_path / "out")
+        stamps = self._row_stamps(tmp_path / "out")
+        raw["seed"] = 7
+        cfg = ExperimentConfig.from_dict(raw)
+        resumed = run_endpoint_experiment(cfg, tmp_path / "out", resume=True)
+        fresh = run_endpoint_experiment(cfg, tmp_path / "fresh")
+        assert all(self._row_stamps(tmp_path / "out")[k] != v for k, v in stamps.items())
+        assert _strip_wall("\n".join(r.to_csv_line() for r in resumed.rows)) == _strip_wall(
+            "\n".join(r.to_csv_line() for r in fresh.rows)
+        )
+
+    def test_resume_after_adding_an_n_osc_value_computes_only_the_new_row(self, tmp_path, monkeypatch):
+        raw = _trajectory_raw()
+        first = run_trajectory_experiment(ExperimentConfig.from_dict(raw), tmp_path)
+        stamps = self._row_stamps(tmp_path)
+        computed = []
+        compute_row = harness.compute_row
+
+        def recording_compute_row(cfg, coords, *rest):
+            computed.append(coords)
+            return compute_row(cfg, coords, *rest)
+
+        monkeypatch.setattr(harness, "compute_row", recording_compute_row)
+        raw["synthesis"]["n_osc"] = [1, 2, 4]
+        second = run_trajectory_experiment(ExperimentConfig.from_dict(raw), tmp_path, resume=True)
+        assert computed == [(1, 4, 4)]
+        assert {k: v for k, v in self._row_stamps(tmp_path).items() if k in stamps} == stamps
+        assert second.rows[:2] == first.rows
+        assert second.rows[2].status == "ok"
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda row_dir: (row_dir / "schedule.json").unlink(),
+            lambda row_dir: (row_dir / "row.json").write_text("[]\n"),
+        ],
+        ids=["schedule-missing", "row-json-not-an-object"],
+    )
+    def test_resume_recomputes_a_damaged_row(self, tmp_path, damage):
+        cfg = ExperimentConfig.from_dict(_trajectory_raw())
+        first = run_trajectory_experiment(cfg, tmp_path)
+        stamps = self._row_stamps(tmp_path)
+        broken, kept = first.rows[0].key, first.rows[1].key
+        damage(tmp_path / "rows" / broken)
+        second = run_trajectory_experiment(cfg, tmp_path, resume=True)
+        after = self._row_stamps(tmp_path)
+        assert after[broken] != stamps[broken]
+        assert after[kept] == stamps[kept]
+        assert (tmp_path / "rows" / broken / "schedule.json").exists()
+        assert second.rows[0].status == "ok"
+
+    def test_final_w2_reuses_the_sup_w2_solve_at_the_last_snapshot(self, monkeypatch):
+        raw = _trajectory_raw(field={"name": "rotation", "params": {"omega": 1.0}})
+        raw["synthesis"]["n_osc"] = 2
+        cfg = ExperimentConfig.from_dict(raw)
+        inputs = cfg.build_inputs()
+        mu0, _, vf = inputs
+        reference = integrate_flow(vf, mu0, cfg.integrator(vf.horizon))
+        solve = transport.w2_exact
+        calls = []
+
+        def counted(mu, nu):
+            calls.append((mu, nu))
+            return solve(mu, nu)
+
+        monkeypatch.setattr(transport, "w2_exact", counted)
+        monkeypatch.setattr(harness, "w2_exact", counted)
+        _, synthesized, sup_err, final_err = harness.compute_row(cfg, (1, 4, 2), inputs, reference)
+        row_calls = len(calls)
+        del calls[:]
+        transport.sup_w2(synthesized, reference)
+        assert row_calls == len(calls)
+        assert transport.sup_w2(synthesized, reference).index == len(reference.snapshots) - 1
+        solved = [solve(a, b).distance for a, b in zip(synthesized.snapshots, reference.snapshots)]
+        assert sup_err == max(solved)
+        assert final_err == solve(synthesized.final, reference.final).distance
+
+    def test_report_records_support_containment(self, tmp_path):
+        cfg = ExperimentConfig.from_dict(_trajectory_raw())
+        table = run_trajectory_experiment(cfg, tmp_path)
+        row_dir = tmp_path / "rows" / table.rows[0].key
+        report = json.loads((row_dir / "report.json").read_text())
+        growth = report["support_growth"]
+        assert growth["passed"] and growth["first_violation"] is None
+        assert growth["bound"] == report["omega_radius"]
+        assert growth["max_radius"] <= report["support_radius"] + 1e-12
+
+        # the same check on that trajectory with one particle pushed outside Omega
+        traj = MeasureTrajectory.load(row_dir / "trajectory")
+        points = np.array(traj.snapshots[1].points)
+        points[5] = [report["omega_radius"] + 0.25, 0.0]
+        snaps = list(traj.snapshots)
+        snaps[1] = ParticleEnsemble(points)
+        pushed = MeasureTrajectory(traj.times, snaps)
+        check = support_growth_check(
+            pushed, report["support_radius"], report["region_R"], report["bound_C"] + report["delta"]
+        ).to_dict()
+        assert check["passed"] is False
+        assert check["first_violation"] == (float(traj.times[1]), 5)
+
+    def test_support_containment_is_null_for_a_measure_at_the_origin(self, tmp_path):
+        raw = _trajectory_raw(
+            n_particles=1,
+            initial_measure={"kind": "explicit-points", "params": {"points": [[0.0, 0.0]]}},
+        )
+        row = run_trajectory_experiment(ExperimentConfig.from_dict(raw), tmp_path).rows[0]
+        assert row.status == "ok"
+        report = json.loads((tmp_path / "rows" / row.key / "report.json").read_text())
+        assert report["support_radius"] == 0.0 and report["support_growth"] is None
+
     def test_kind_mismatch(self, tmp_path):
         cfg = ExperimentConfig.from_dict(_endpoint_raw())
         with pytest.raises(ConfigError):
@@ -388,9 +510,9 @@ class TestEndpointExperiment:
             built.append(build_inputs(cfg))
             return built[-1]
 
-        def recording_compute_row(cfg, coords, inputs, reference):
+        def recording_compute_row(cfg, coords, inputs, reference, *rest):
             ran.append((coords, os.getpid(), threading.get_ident(), inputs))
-            return compute_row(cfg, coords, inputs, reference)
+            return compute_row(cfg, coords, inputs, reference, *rest)
 
         monkeypatch.setattr(ExperimentConfig, "build_inputs", recording_build_inputs)
         monkeypatch.setattr(harness, "compute_row", recording_compute_row)
@@ -403,6 +525,101 @@ class TestEndpointExperiment:
         assert all(pid == os.getpid() and inputs is built[0] for _, pid, _, inputs in ran)
         if parallel == 1:
             assert {thread for _, _, thread, _ in ran} == {threading.get_ident()}
+
+
+def _count_fits(monkeypatch):
+    widths = []
+    fit = synthesis.fit_superposition
+
+    def counted(target, region, m, *args, **kwargs):
+        widths.append(m)
+        return fit(target, region, m, *args, **kwargs)
+
+    monkeypatch.setattr(synthesis, "fit_superposition", counted)
+    return widths
+
+
+class TestSharedFits:
+    @pytest.mark.parametrize("parallel", [1, 2])
+    def test_each_n_avg_m_pair_is_fitted_once(self, tmp_path, monkeypatch, parallel):
+        widths = _count_fits(monkeypatch)
+        raw = _endpoint_raw()
+        raw["synthesis"].update(m_width=[8, 16], n_osc=[1, 2, 4])
+        table = run_endpoint_experiment(ExperimentConfig.from_dict(raw), tmp_path, parallel=parallel)
+        assert [r.status for r in table.rows] == ["ok"] * 6
+        assert sorted(widths) == [8, 16]
+
+    def test_rows_sharing_a_fit_match_one_row_sweeps(self, tmp_path):
+        raw = _endpoint_raw()
+        raw["synthesis"]["n_osc"] = [1, 2, 4]
+        run_endpoint_experiment(ExperimentConfig.from_dict(raw), tmp_path / "all", parallel=2)
+        for n_osc in (1, 2, 4):
+            raw["synthesis"]["n_osc"] = n_osc
+            one = tmp_path / f"nosc{n_osc}"
+            run_endpoint_experiment(ExperimentConfig.from_dict(raw), one)
+            key = row_key((1, 8, n_osc))
+            files = sorted(
+                p.relative_to(one / "rows" / key)
+                for p in (one / "rows" / key).rglob("*")
+                if p.is_file() and p.name != "row.json"
+            )
+            assert len(files) == 3 + 3  # schedule, report, trajectory.json and 3 snapshots
+            for rel in files:
+                shared = (tmp_path / "all" / "rows" / key / rel).read_bytes()
+                assert shared == (one / "rows" / key / rel).read_bytes(), rel
+
+    def test_piece_cap_fails_the_row_before_any_fit(self, tmp_path, monkeypatch):
+        widths = _count_fits(monkeypatch)
+        raw = _trajectory_raw()
+        raw["synthesis"].update(m_width=1000, n_osc=1001)
+        (row,) = run_trajectory_experiment(ExperimentConfig.from_dict(raw), tmp_path).rows
+        assert row.error == "ValueError: 1001000 pieces exceed the 1000000 schedule cap"
+        assert widths == []
+
+    def test_memo_fits_each_key_once_under_contention(self):
+        fitted = []
+
+        def fit(params):
+            fitted.append((params.n_avg, params.m_width))
+            time.sleep(0.002)
+            return object()
+
+        memo = harness._FitMemo(fit)
+        params = [SynthesisParams(n_avg=a, m_width=m, n_osc=k) for a in (1, 2) for m in (4, 8) for k in (1, 2, 4)]
+        seen = {}
+
+        def worker(i):
+            for p in params[i % len(params):] + params[: i % len(params)]:
+                seen.setdefault((p.n_avg, p.m_width), set()).add(id(memo(p)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(16)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert sorted(fitted) == [(1, 4), (1, 8), (2, 4), (2, 8)]
+        assert all(len(ids) == 1 for ids in seen.values())
+
+    @pytest.mark.parametrize("parallel", [1, 2])
+    def test_a_failing_fit_fails_every_row_of_its_key(self, tmp_path, monkeypatch, parallel):
+        widths = _count_fits(monkeypatch)
+        raw = _trajectory_raw()
+        raw["synthesis"].update(m_width=[2, 64], n_osc=[1, 2], grid_per_axis=3)
+        table = run_trajectory_experiment(ExperimentConfig.from_dict(raw), tmp_path, parallel=parallel)
+        by_coords = {r.coords: r for r in table.rows}
+        for n_osc in (1, 2):
+            assert by_coords[(1, 2, n_osc)].status == "ok"
+            failed = by_coords[(1, 64, n_osc)]
+            assert failed.status == "failed"
+            assert failed.error == "ValueError: region grid too coarse for the requested width"
+        # a failed fit is not kept: each row of its key tries again
+        assert sorted(widths) == [2, 64, 64]
 
 
 def _plot_table(rows, tmp_path):
