@@ -54,12 +54,9 @@ from .synthesis import (
     SynthesisParams,
     SynthesisReport,
     SynthesisResult,
-    WindowFits,
     displacement_target_field,
     fit_superposition,
-    fit_windows,
     oscillation_schedule,
-    schedule_windows,
     synthesize_controls,
     time_average,
 )
@@ -96,21 +93,18 @@ __all__ = [
     "SynthesisResult",
     "VectorFieldSpec",
     "W2Result",
-    "WindowFits",
     "benchmark_field",
     "displacement_target_field",
     "emit_plot_data",
     "estimate_bounds",
     "eval_field",
     "fit_superposition",
-    "fit_windows",
     "integrate_flow",
     "lipschitz_curve_check",
     "oscillation_schedule",
     "run_endpoint_experiment",
     "run_trajectory_experiment",
     "sample_measure",
-    "schedule_windows",
     "second_moment",
     "sup_w2",
     "support_growth_check",

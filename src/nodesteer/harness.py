@@ -24,7 +24,6 @@ import os
 import shutil
 import threading
 import time
-from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
@@ -40,12 +39,12 @@ from .measures import RNG_ALGORITHM, MeasureSpec, ParticleEnsemble, sample_measu
 from .synthesis import (
     SynthesisParams,
     WindowFits,
-    check_piece_cap,
+    _check_piece_cap,
     displacement_target_field,
     fit_windows,
     schedule_windows,
 )
-from .transport import SupW2, sup_w2, w2_exact
+from .transport import sup_w2, w2_exact
 
 RESULTS_HEADER = "n_avg,m,n_osc,sup_w2,final_w2,max_fit_err,pieces,wall_s,status"
 
@@ -477,24 +476,20 @@ def compute_row(
     ``inputs`` is :meth:`ExperimentConfig.build_inputs`'s (mu0, muf, field)
     and ``reference`` the field's flow from mu0 on the config's snapshot grid.
     ``window_fits`` supplies the fit stage's result for the row's params (a
-    sweep's :class:`_FitMemo`); without it the row fits directly. Returns
+    sweep's :class:`_FitMemo`); by default the row fits on its own. Returns
     (synthesis result, synthesized trajectory, sup_w2, final_w2).
     ``final_w2`` is measured against muf for endpoint configs and against the
-    reference's final snapshot for trajectory configs, where it reuses
-    ``sup_w2``'s solve when the maximum sits at that snapshot.
+    reference's final snapshot for trajectory configs.
     """
     mu0, muf, vf = inputs
+    window_fits = window_fits or _FitMemo(partial(_fit_windows, cfg, inputs))
     params = cfg.synthesis_params(coords)
-    check_piece_cap(params)
-    fits = _fit_windows(cfg, inputs, params) if window_fits is None else window_fits(params)
-    result = schedule_windows(fits, params)
+    _check_piece_cap(params)
+    result = schedule_windows(window_fits(params), params)
     synthesized = integrate_flow(result.schedule, mu0, cfg.integrator(vf.horizon))
-    sup = sup_w2(synthesized, reference)
-    if muf is None and isinstance(sup, SupW2) and sup.index == len(reference.snapshots) - 1:
-        final_err = float(sup)  # sup_w2 solved the final pair: it holds the maximum
-    else:
-        final_err = w2_exact(synthesized.final, reference.final if muf is None else muf).distance
-    return result, synthesized, float(sup), final_err
+    sup_err = sup_w2(synthesized, reference)
+    final_err = w2_exact(synthesized.final, reference.final if muf is None else muf).distance
+    return result, synthesized, sup_err, final_err
 
 
 def _support_growth(report, synthesized: MeasureTrajectory) -> Optional[dict]:
@@ -534,13 +529,15 @@ def _execute_row(
     inputs: tuple,
     reference: MeasureTrajectory,
     window_fits: Callable[[SynthesisParams], WindowFits],
+    fingerprint: str,
 ) -> ResultRow:
     """Compute one sweep row into a fresh ``rows/<key>/``; never raises.
 
     ``inputs``, ``reference`` and ``window_fits`` are the sweep's own, shared
     by every row; the row writes only its own directory, so rows may run on
     concurrent threads. The directory is cleared first, so a rerun leaves
-    none of an earlier run's artifacts next to this row's.
+    none of an earlier run's artifacts next to this row's. ``row.json``
+    records the config's ``fingerprint`` for ``resume``.
     """
     row_dir = out_dir / "rows" / row_key(coords)
     if row_dir.exists():
@@ -574,7 +571,7 @@ def _execute_row(
             error=f"{type(exc).__name__}: {exc}",
         )
     row = ResultRow(*coords, wall_s=time.perf_counter() - start, **outcome)
-    _write_json(row_dir / "row.json", {**row.to_dict(), "config_sha256": _config_fingerprint(cfg)})
+    _write_json(row_dir / "row.json", {**row.to_dict(), "config_sha256": fingerprint})
     return row
 
 
@@ -630,11 +627,11 @@ def _run_experiment(
     Rows that share (n_avg, m_width) share one fit: the sweep's
     :class:`_FitMemo`, dropped when the sweep returns, fits each key once, in
     the ``wall_s`` of the row that needs it first. ``parallel > 1`` runs rows
-    on up to that many worker threads (at most one per pending row),
-    starting one row of every key before the second of any, so that distinct
-    fits run at the same time; otherwise rows run in that order on the
-    calling thread. With ``resume``, a row computed under the same config
-    (see :func:`_config_fingerprint`) whose artifacts remain is kept as is.
+    on up to that many worker threads (at most one per pending row), where
+    fits of different keys may run at the same time; otherwise rows run in
+    order on the calling thread. With ``resume``, a row computed under the
+    same config (see :func:`_config_fingerprint`) whose artifacts remain is
+    kept as is.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -651,17 +648,16 @@ def _run_experiment(
             rows_by_coords[coords] = prior
         else:
             pending.append(coords)
-    # the k-th pending row of every (n_avg, m) key before the (k+1)-th of any
-    rank = Counter()
-    ranked = []
-    for coords in pending:
-        ranked.append((rank[coords[:2]], coords))
-        rank[coords[:2]] += 1
-    pending = [coords for _, coords in sorted(ranked)]
 
     window_fits = _FitMemo(partial(_fit_windows, cfg, inputs))
     run_row = partial(
-        _execute_row, cfg, out_dir, inputs=inputs, reference=reference, window_fits=window_fits
+        _execute_row,
+        cfg,
+        out_dir,
+        inputs=inputs,
+        reference=reference,
+        window_fits=window_fits,
+        fingerprint=fingerprint,
     )
     if parallel > 1:
         with ThreadPoolExecutor(max_workers=parallel) as pool:

@@ -438,7 +438,7 @@ def _window_seeds(seed: int, count: int) -> list:
     return [int(s) for s in np.random.SeedSequence(seed).generate_state(count)]
 
 
-def check_piece_cap(params: SynthesisParams) -> None:
+def _check_piece_cap(params: SynthesisParams) -> None:
     """Reject a schedule of more than MAX_SCHEDULE_PIECES pieces before any fitting."""
     total_pieces = params.n_avg * params.m_width * params.n_osc
     if total_pieces > MAX_SCHEDULE_PIECES:
@@ -519,7 +519,7 @@ def schedule_windows(fits: WindowFits, params: SynthesisParams) -> SynthesisResu
 
     Concatenates the window schedules and reports the run under params. A
     window whose fit is identically zero gets one quiescent piece instead.
-    The caller checks the piece cap first (:func:`check_piece_cap`).
+    The caller checks the piece cap first (:func:`_check_piece_cap`).
     """
     d, activation = fits.dim, fits.activation
     all_breakpoints = [0.0]
@@ -567,7 +567,7 @@ def synthesize_controls(
     Checks the piece cap, then runs the fit stage (:func:`fit_windows`) and
     the schedule stage (:func:`schedule_windows`) at params.n_osc.
     """
-    check_piece_cap(params)
+    _check_piece_cap(params)
     return schedule_windows(fit_windows(vf, mu0, params, activation, **fit_kwargs), params)
 
 

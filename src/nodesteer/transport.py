@@ -21,7 +21,6 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -142,31 +141,15 @@ def _max_w2(pairs, divisors) -> tuple:
     return best, best_j
 
 
-class SupW2(float):
-    """The float `sup_w2` returns, with the snapshot that attains it.
-
-    ``index`` is the earliest snapshot pair attaining a positive maximum, so
-    the value is that pair's exact W2; it is None when the maximum is 0.
-    """
-
-    __slots__ = ("index",)
-
-    def __new__(cls, value: float, index: Optional[int] = None):
-        obj = super().__new__(cls, value)
-        obj.index = index
-        return obj
-
-
 def sup_w2(traj_a, traj_b) -> float:
     """Max over shared grid times of the exact W2 between matching snapshots.
 
     Both arguments are MeasureTrajectory objects on identical time grids with
     identical particle counts. Only the snapshots whose identity-coupling
     bound reaches the running maximum get an exact solve; the others are
-    bounded below it, so the result is still the exact maximum. The float
-    returned is a :class:`SupW2`, whose ``index`` names its snapshot.
+    bounded below it, so the result is still the exact maximum.
     """
     if not np.array_equal(traj_a.times, traj_b.times):
         raise ValueError("trajectories must share an identical time grid")
     pairs = list(zip(traj_a.snapshots, traj_b.snapshots))
-    return SupW2(*_max_w2(pairs, [1.0] * len(pairs)))
+    return _max_w2(pairs, [1.0] * len(pairs))[0]

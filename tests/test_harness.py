@@ -11,8 +11,7 @@ import pytest
 
 import nodesteer.harness as harness
 import nodesteer.synthesis as synthesis
-import nodesteer.transport as transport
-from nodesteer.flow import MeasureTrajectory, integrate_flow, support_growth_check
+from nodesteer.flow import MeasureTrajectory, support_growth_check
 from nodesteer.measures import ParticleEnsemble
 from nodesteer.synthesis import SynthesisParams
 from nodesteer.harness import (
@@ -400,32 +399,6 @@ class TestTrajectoryExperiment:
         assert after[kept] == stamps[kept]
         assert (tmp_path / "rows" / broken / "schedule.json").exists()
         assert second.rows[0].status == "ok"
-
-    def test_final_w2_reuses_the_sup_w2_solve_at_the_last_snapshot(self, monkeypatch):
-        raw = _trajectory_raw(field={"name": "rotation", "params": {"omega": 1.0}})
-        raw["synthesis"]["n_osc"] = 2
-        cfg = ExperimentConfig.from_dict(raw)
-        inputs = cfg.build_inputs()
-        mu0, _, vf = inputs
-        reference = integrate_flow(vf, mu0, cfg.integrator(vf.horizon))
-        solve = transport.w2_exact
-        calls = []
-
-        def counted(mu, nu):
-            calls.append((mu, nu))
-            return solve(mu, nu)
-
-        monkeypatch.setattr(transport, "w2_exact", counted)
-        monkeypatch.setattr(harness, "w2_exact", counted)
-        _, synthesized, sup_err, final_err = harness.compute_row(cfg, (1, 4, 2), inputs, reference)
-        row_calls = len(calls)
-        del calls[:]
-        transport.sup_w2(synthesized, reference)
-        assert row_calls == len(calls)
-        assert transport.sup_w2(synthesized, reference).index == len(reference.snapshots) - 1
-        solved = [solve(a, b).distance for a, b in zip(synthesized.snapshots, reference.snapshots)]
-        assert sup_err == max(solved)
-        assert final_err == solve(synthesized.final, reference.final).distance
 
     def test_report_records_support_containment(self, tmp_path):
         cfg = ExperimentConfig.from_dict(_trajectory_raw())

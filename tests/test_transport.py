@@ -180,16 +180,6 @@ class TestPrunedMax:
         assert len(calls) == 1
         assert calls[0][0] is moving.final
 
-    def test_value_names_the_snapshot_attaining_it(self):
-        mu0 = ParticleEnsemble(np.random.default_rng(3).normal(size=(40, 2)))
-        times = np.linspace(0.0, 1.0, 6)
-        moving = MeasureTrajectory(times, [mu0.translate([t * (1.0 - t), 0.0]) for t in times])
-        frozen = MeasureTrajectory(times, [mu0] * times.size)
-        value = sup_w2(moving, frozen)
-        # t(1 - t) peaks between snapshots 2 and 3, at equal height on both
-        assert (value.index, value) == (2, w2_exact(moving.snapshots[2], mu0).distance)
-        assert sup_w2(frozen, frozen).index is None
-
     def test_tied_maximum_reports_the_earliest_pair(self, monkeypatch):
         rng = np.random.default_rng(11)
         x = ParticleEnsemble(rng.normal(size=(12, 2)))
