@@ -16,8 +16,6 @@ from .fields import (
     VectorFieldSpec,
     benchmark_field,
     estimate_bounds,
-    eval_field,
-    zero_field,
 )
 from .flow import (
     DivergenceError,
@@ -44,12 +42,10 @@ from .measures import (
     ParticleEnsemble,
     Region,
     sample_measure,
-    second_moment,
     support_radius,
 )
 from .synthesis import (
     ControlSchedule,
-    DegenerateFieldError,
     SuperpositionFit,
     SynthesisParams,
     SynthesisReport,
@@ -71,7 +67,6 @@ __all__ = [
     "ConfigError",
     "ControlSchedule",
     "Coupling",
-    "DegenerateFieldError",
     "DivergenceError",
     "ExperimentConfig",
     "IntegratorConfig",
@@ -97,7 +92,6 @@ __all__ = [
     "displacement_target_field",
     "emit_plot_data",
     "estimate_bounds",
-    "eval_field",
     "fit_superposition",
     "integrate_flow",
     "lipschitz_curve_check",
@@ -105,7 +99,6 @@ __all__ = [
     "run_endpoint_experiment",
     "run_trajectory_experiment",
     "sample_measure",
-    "second_moment",
     "sup_w2",
     "support_growth_check",
     "support_radius",
@@ -113,5 +106,4 @@ __all__ = [
     "time_average",
     "w2_bruteforce",
     "w2_exact",
-    "zero_field",
 ]

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .flow import integrate_flow
@@ -58,11 +57,15 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load_config(args) -> tuple:
     path = Path(args.config)
     try:
-        cfg = ExperimentConfig.from_json(path.read_text())
+        raw = json.loads(path.read_text())
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    if args.seed is not None and isinstance(raw, dict):
+        # overridden before the parse, so the flag is validated like the key
+        raw = {**raw, "seed": args.seed}
+    cfg = ExperimentConfig.from_dict(raw)
     out_dir = args.out or cfg.out_dir
     if out_dir is None:
         raise ConfigError("no output directory: pass --out or set out_dir in the config")
@@ -128,16 +131,9 @@ def _cmd_compare(cfg: ExperimentConfig, out_dir: Path, args) -> int:
 
 
 def _cmd_sweep(cfg: ExperimentConfig, out_dir: Path, args) -> int:
-    table = run_trajectory_experiment(cfg, out_dir, parallel=args.parallel, resume=args.resume)
-    return _report_table(table, out_dir)
-
-
-def _cmd_endpoint(cfg: ExperimentConfig, out_dir: Path, args) -> int:
-    table = run_endpoint_experiment(cfg, out_dir, parallel=args.parallel, resume=args.resume)
-    return _report_table(table, out_dir)
-
-
-def _report_table(table, out_dir: Path) -> int:
+    """``sweep`` and ``endpoint``; the runner rejects a config of the other kind."""
+    run = run_trajectory_experiment if args.command == "sweep" else run_endpoint_experiment
+    table = run(cfg, out_dir, parallel=args.parallel, resume=args.resume)
     if not table.all_failed:
         emit_plot_data(table)
     failed = sum(r.status == "failed" for r in table.rows)
@@ -154,7 +150,7 @@ _COMMANDS = {
     "simulate": _cmd_simulate,
     "compare": _cmd_compare,
     "sweep": _cmd_sweep,
-    "endpoint": _cmd_endpoint,
+    "endpoint": _cmd_sweep,
 }
 
 
@@ -162,10 +158,6 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg, out_dir = _load_config(args)
-        if args.command == "sweep" and cfg.kind != "trajectory":
-            raise ConfigError("sweep needs a trajectory config; use the endpoint subcommand")
-        if args.command == "endpoint" and cfg.kind != "endpoint":
-            raise ConfigError("endpoint needs an endpoint config; use the sweep subcommand")
         return _COMMANDS[args.command](cfg, out_dir, args)
     except (ConfigError, MeasureSpecError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

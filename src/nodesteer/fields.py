@@ -4,8 +4,8 @@ Field objects share one calling convention: ``velocity(t, X)`` maps a time and
 an (n, d) array of positions to an (n, d) array of velocities. The concrete
 kinds are
 
-* :class:`NeuralField` -- a finite superposition sum_i A_i Sigma(W_i x + theta_i),
-  time-independent, the class of admissible right-hand sides,
+* :class:`NeuralField` -- a superposition sum_i A_i Sigma(W_i x + theta_i) of
+  m >= 1 terms, time-independent, the class of admissible right-hand sides,
 * :class:`VectorFieldSpec` -- an arbitrary evaluator with declared sup-norm and
   Lipschitz bounds over a region, validated against sampled estimates,
 * :class:`PiecewiseConstField` -- static pieces on consecutive time windows.
@@ -13,12 +13,11 @@ kinds are
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
-from scipy.spatial.distance import cdist, pdist, squareform
+from scipy.spatial.distance import pdist, squareform
 
 from .measures import Region
 
@@ -108,25 +107,25 @@ class NeuralTerm:
 
 @dataclass(frozen=True)
 class NeuralField:
-    """Finite superposition sum_i A_i Sigma(W_i x + theta_i).
+    """Superposition sum_i A_i Sigma(W_i x + theta_i) of m >= 1 terms.
 
-    m = 0 terms denotes the zero field. Evaluation is time-independent.
+    Its dimension is the terms' shared one. Evaluation is time-independent.
     """
 
     terms: tuple
     activation: Activation
-    dim: int = 0
 
     def __post_init__(self):
         terms = tuple(self.terms)
+        if not terms:
+            raise ValueError("a superposition needs at least one term")
+        if any(t.dim != terms[0].dim for t in terms):
+            raise ValueError("all terms must share one dimension")
         object.__setattr__(self, "terms", terms)
-        if terms:
-            d = terms[0].dim
-            if any(t.dim != d for t in terms):
-                raise ValueError("all terms must share one dimension")
-            object.__setattr__(self, "dim", d)
-        elif self.dim < 1:
-            raise ValueError("zero field (m = 0) needs an explicit dim >= 1")
+
+    @property
+    def dim(self) -> int:
+        return self.terms[0].dim
 
     @property
     def width(self) -> int:
@@ -159,29 +158,6 @@ class NeuralField:
         """sum_i ||A_i||_2; with a [0,1]-valued activation, |field| <= sqrt(d) * this."""
         return float(sum(np.linalg.norm(t.A, 2) for t in self.terms))
 
-    def to_json_dict(self) -> dict:
-        return {
-            "activation": self.activation.kind,
-            "dim": self.dim,
-            "terms": [t.to_dict() for t in self.terms],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
-    @staticmethod
-    def from_json_dict(d: Mapping) -> "NeuralField":
-        terms = tuple(NeuralTerm.from_dict(t) for t in d["terms"])
-        return NeuralField(terms, Activation(d["activation"]), dim=int(d.get("dim", 0)))
-
-    @staticmethod
-    def from_json(text: str) -> "NeuralField":
-        return NeuralField.from_json_dict(json.loads(text))
-
-
-def zero_field(dim: int, activation: str = "logistic") -> NeuralField:
-    return NeuralField((), Activation(activation), dim=dim)
-
 
 class PiecewiseConstField:
     """Static fields on consecutive windows; piece j governs [t_j, t_{j+1}).
@@ -204,10 +180,6 @@ class PiecewiseConstField:
     @property
     def horizon(self) -> float:
         return float(self.breakpoints[-1])
-
-    @property
-    def start(self) -> float:
-        return float(self.breakpoints[0])
 
     def piece_index(self, t: float) -> int:
         if t < self.breakpoints[0] or t > self.breakpoints[-1]:
@@ -311,31 +283,6 @@ class VectorFieldSpec:
 
     def velocity(self, t: float, x: np.ndarray) -> np.ndarray:
         return self._evaluator(t, np.atleast_2d(np.asarray(x, dtype=float)))
-
-    def to_json_dict(self) -> dict:
-        if self.name is None:
-            raise ValueError("only named (benchmark) fields serialize by {name, params}")
-        return {"name": self.name, "params": self.params}
-
-
-def eval_field(vf, t: float, x) -> np.ndarray:
-    """Evaluate any field object at (t, x); x may be a single d-vector.
-
-    Enforces 0 <= t <= T for fields carrying a horizon and checks the spatial
-    dimension where the field declares one.
-    """
-    pts = np.asarray(x, dtype=float)
-    single = pts.ndim == 1
-    pts = np.atleast_2d(pts)
-    horizon = getattr(vf, "horizon", None)
-    start = getattr(vf, "start", 0.0)
-    if horizon is not None and not (start <= t <= horizon):
-        raise ValueError(f"t = {t} outside [{start}, {horizon}]")
-    dim = getattr(vf, "dim", None)
-    if dim and pts.shape[1] != dim:
-        raise ValueError(f"points are {pts.shape[1]}-dimensional, field is {dim}")
-    vel = vf.velocity(float(t), pts)
-    return vel[0] if single else vel
 
 
 # -- analytic benchmark fields -------------------------------------------------

@@ -12,11 +12,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .measures import ParticleEnsemble, support_radius
+from .measures import ParticleEnsemble
 from .transport import _max_w2
 
 DIVERGENCE_LIMIT = 1e8
@@ -236,9 +236,12 @@ class SupportGrowthReport:
 def support_growth_check(
     traj: MeasureTrajectory, r: float, R: float, C: float
 ) -> SupportGrowthReport:
-    """Check T < (R+r)/C and that every snapshot stays inside B_{R+r}(0)."""
-    if r <= 0 or R <= 0 or C <= 0:
-        raise ValueError("r, R, C must all be positive")
+    """Check T < (R+r)/C and that every snapshot stays inside B_{R+r}(0).
+
+    r = 0 (a measure at the origin) is allowed: Omega is then B_R(0).
+    """
+    if r < 0 or R <= 0 or C <= 0:
+        raise ValueError("r must be nonnegative and R, C positive")
     t_final = float(traj.times[-1])
     precondition_ok = t_final < (R + r) / C
     bound = R + r
@@ -261,14 +264,6 @@ class LipschitzCurveReport:
     max_quotient: float
     allowed: float
     argmax_pair: Optional[tuple] = None  # (t_j, t_{j+1})
-
-    def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "max_quotient": self.max_quotient,
-            "allowed": self.allowed,
-            "argmax_pair": self.argmax_pair,
-        }
 
 
 # slack on the per-particle rate bound: the curve constant is C up to numerics

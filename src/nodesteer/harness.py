@@ -20,6 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 import os
 import shutil
 import threading
@@ -49,6 +50,7 @@ from .transport import sup_w2, w2_exact
 RESULTS_HEADER = "n_avg,m,n_osc,sup_w2,final_w2,max_fit_err,pieces,wall_s,status"
 
 _FIT_KNOBS = ("feature_scale", "ridge", "grid_per_axis", "refine_steps", "refine_lr")
+_INTEGER_FIT_KNOBS = ("grid_per_axis", "refine_steps")
 
 
 class ConfigError(ValueError):
@@ -64,19 +66,30 @@ def _require_keys(d: Mapping, allowed: set, required: set, where: str) -> None:
         raise ConfigError(f"missing required key(s) {sorted(missing)} in {where}")
 
 
+def _number(value, name: str, integer: bool = False):
+    """A config number, checked as given: an int when ``integer``, else unchanged.
+
+    Bools, strings and other non-numbers are rejected, and so is a value with
+    a fractional part where an integer is needed, so a mistyped number fails
+    the parse instead of being coerced.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be {'an integer' if integer else 'a number'}, got {value!r}")
+    if integer:
+        if not (isinstance(value, numbers.Integral) or float(value).is_integer()):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
+        return int(value)
+    return value
+
+
 def _int_list(value, name: str) -> tuple:
-    if isinstance(value, bool):
-        raise ConfigError(f"{name} must be an integer or list of integers")
-    if isinstance(value, int):
-        value = [value]
-    if not isinstance(value, (list, tuple)) or not value:
+    values = value if isinstance(value, (list, tuple)) else [value]
+    if not values:
         raise ConfigError(f"{name} must be an integer or nonempty list of integers")
-    out = []
-    for v in value:
-        if isinstance(v, bool) or not isinstance(v, int) or v < 1:
-            raise ConfigError(f"{name} entries must be integers >= 1")
-        out.append(v)
-    return tuple(sorted(set(out)))
+    out = {_number(v, f"{name} entries", integer=True) for v in values}
+    if min(out) < 1:
+        raise ConfigError(f"{name} entries must be integers >= 1")
+    return tuple(sorted(out))
 
 
 @dataclass(frozen=True)
@@ -131,10 +144,11 @@ class ExperimentConfig:
         if kind == "endpoint" and "target_measure" not in raw:
             raise ConfigError("endpoint config needs a 'target_measure' entry")
 
-        if not isinstance(raw["seed"], int) or isinstance(raw["seed"], bool) or raw["seed"] < 0:
+        seed = _number(raw["seed"], "seed", integer=True)
+        if seed < 0:
             raise ConfigError("seed must be a nonnegative integer")
-        n_particles = raw["n_particles"]
-        if not isinstance(n_particles, int) or isinstance(n_particles, bool) or n_particles < 1:
+        n_particles = _number(raw["n_particles"], "n_particles", integer=True)
+        if n_particles < 1:
             raise ConfigError("n_particles must be an integer >= 1")
 
         def parse_measure(entry, where):
@@ -154,7 +168,17 @@ class ExperimentConfig:
             raise ConfigError("synthesis must be an object")
         syn_allowed = {"n_avg", "m_width", "n_osc", "fit_tolerance", "region_margin", "seed", *_FIT_KNOBS}
         _require_keys(syn, syn_allowed, set(), "synthesis")
-        fit_options = {k: syn[k] for k in _FIT_KNOBS if k in syn}
+        # real-valued fit knobs are kept as given, so to_dict() echoes them
+        fit_options = {
+            k: _number(syn[k], f"synthesis.{k}", integer=k in _INTEGER_FIT_KNOBS)
+            for k in _FIT_KNOBS
+            if k in syn
+        }
+        synthesis_seed = None
+        if "seed" in syn:
+            synthesis_seed = _number(syn["seed"], "synthesis.seed", integer=True)
+            if synthesis_seed < 0:
+                raise ConfigError("synthesis.seed must be a nonnegative integer")
 
         field_name, field_params = None, {}
         if "field" in raw:
@@ -178,13 +202,13 @@ class ExperimentConfig:
                 kind=kind,
                 initial_measure=parse_measure(raw["initial_measure"], "initial_measure"),
                 n_particles=n_particles,
-                seed=raw["seed"],
+                seed=seed,
                 n_avg_values=_int_list(syn.get("n_avg", 1), "synthesis.n_avg"),
                 m_values=_int_list(syn.get("m_width", 16), "synthesis.m_width"),
                 n_osc_values=_int_list(syn.get("n_osc", 4), "synthesis.n_osc"),
-                fit_tolerance=float(syn.get("fit_tolerance", 0.1)),
-                region_margin=float(syn.get("region_margin", 1.5)),
-                synthesis_seed=syn.get("seed"),
+                fit_tolerance=float(_number(syn.get("fit_tolerance", 0.1), "synthesis.fit_tolerance")),
+                region_margin=float(_number(syn.get("region_margin", 1.5), "synthesis.region_margin")),
+                synthesis_seed=synthesis_seed,
                 fit_options=fit_options,
                 field_name=field_name,
                 field_params=field_params,
@@ -193,12 +217,14 @@ class ExperimentConfig:
                     if "target_measure" in raw
                     else None
                 ),
-                smoothing=float(raw.get("smoothing", 0.5)),
+                smoothing=float(_number(raw.get("smoothing", 0.5), "smoothing")),
                 method=integ.get("method", "rk4"),
-                base_step=float(integ.get("base_step", 0.01)),
-                snap_count=int(integ.get("snap_count", 11)),
+                base_step=float(_number(integ.get("base_step", 0.01), "integrator.base_step")),
+                snap_count=_number(integ.get("snap_count", 11), "integrator.snap_count", integer=True),
                 snap_times=(
-                    tuple(float(t) for t in integ["snap_times"]) if "snap_times" in integ else None
+                    tuple(float(_number(t, "integrator.snap_times entries")) for t in integ["snap_times"])
+                    if "snap_times" in integ
+                    else None
                 ),
                 out_dir=raw.get("out_dir"),
                 schedule_path=raw.get("schedule"),
@@ -208,15 +234,7 @@ class ExperimentConfig:
             if cfg.snap_count < 2:
                 raise ConfigError("snap_count must be >= 2")
             # Checks the synthesis knobs and the integrator now, so a bad value
-            # fails the parse instead of every row. Seed and fit knobs are
-            # type-checked, not converted, so to_dict() echoes them as given.
-            for knob in [k for k in ("seed", *_FIT_KNOBS) if k in syn]:
-                integer = knob in ("seed", "grid_per_axis", "refine_steps")
-                value = syn[knob]
-                if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
-                    raise ConfigError(f"synthesis.{knob} must be {'an integer' if integer else 'a number'}")
-                if knob == "seed" and value < 0:
-                    raise ConfigError("synthesis.seed must be a nonnegative integer")
+            # fails the parse instead of every row.
             for coords in cfg.sweep_points():
                 cfg.synthesis_params(coords)
             cfg.integrator(1.0)
@@ -492,19 +510,6 @@ def compute_row(
     return result, synthesized, sup_err, final_err
 
 
-def _support_growth(report, synthesized: MeasureTrajectory) -> Optional[dict]:
-    """The synthesized flow's containment in Omega = B_{R+r}(0), where the fit holds.
-
-    None when mu0 sits at the origin (r = 0), which the check does not take.
-    """
-    if not report.support_radius > 0:
-        return None
-    check = support_growth_check(
-        synthesized, report.support_radius, report.region_R, report.bound_C + report.delta
-    )
-    return check.to_dict()
-
-
 def _config_fingerprint(cfg: ExperimentConfig) -> str:
     """sha256 of the config without ``out_dir`` and the three sweep lists.
 
@@ -549,7 +554,10 @@ def _execute_row(
 
         _atomic_write(row_dir / "schedule.json", result.schedule.to_json() + "\n")
         report = result.report.to_json_dict()
-        report["support_growth"] = _support_growth(result.report, synthesized)
+        # the synthesized flow's containment in Omega = B_{R+r}(0), where the fit holds
+        report["support_growth"] = support_growth_check(
+            synthesized, report["support_radius"], report["region_R"], report["bound_C"] + report["delta"]
+        ).to_dict()
         _write_json(row_dir / "report.json", report)
         traj_dir = row_dir / "trajectory"
         traj_dir.mkdir(exist_ok=True)
@@ -616,13 +624,8 @@ def _write_manifest(cfg: ExperimentConfig, out_dir: Path, rows: Sequence[ResultR
     _write_json(out_dir / "manifest.json", manifest)
 
 
-def _run_experiment(
-    cfg: ExperimentConfig,
-    out_dir,
-    parallel: int = 1,
-    resume: bool = False,
-) -> ResultTable:
-    """Run every pending row on the sweep's shared inputs and reference.
+def _run_experiment(cfg: ExperimentConfig, kind: str, out_dir, parallel: int, resume: bool) -> ResultTable:
+    """Run every pending row of a ``kind`` config on the sweep's shared inputs and reference.
 
     Rows that share (n_avg, m_width) share one fit: the sweep's
     :class:`_FitMemo`, dropped when the sweep returns, fits each key once, in
@@ -631,8 +634,10 @@ def _run_experiment(
     fits of different keys may run at the same time; otherwise rows run in
     order on the calling thread. With ``resume``, a row computed under the
     same config (see :func:`_config_fingerprint`) whose artifacts remain is
-    kept as is.
+    kept as is. A config of another kind fails before anything is written.
     """
+    if cfg.kind != kind:
+        raise ConfigError(f"{kind} sweep got a {cfg.kind!r} config")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "rows").mkdir(exist_ok=True)
@@ -678,9 +683,7 @@ def run_trajectory_experiment(cfg: ExperimentConfig, out_dir, parallel: int = 1,
     shared initial ensemble on the shared snapshot grid, and record the sup-W2
     distance to the reference trajectory plus the final-time W2.
     """
-    if cfg.kind != "trajectory":
-        raise ConfigError(f"trajectory experiment got a {cfg.kind!r} config")
-    return _run_experiment(cfg, out_dir, parallel=parallel, resume=resume)
+    return _run_experiment(cfg, "trajectory", out_dir, parallel, resume)
 
 
 def run_endpoint_experiment(cfg: ExperimentConfig, out_dir, parallel: int = 1, resume: bool = False) -> ResultTable:
@@ -690,9 +693,7 @@ def run_endpoint_experiment(cfg: ExperimentConfig, out_dir, parallel: int = 1, r
     then sweeps like the trajectory experiment. ``final_w2`` is measured
     against the target ensemble rather than the reference trajectory.
     """
-    if cfg.kind != "endpoint":
-        raise ConfigError(f"endpoint experiment got a {cfg.kind!r} config")
-    return _run_experiment(cfg, out_dir, parallel=parallel, resume=resume)
+    return _run_experiment(cfg, "endpoint", out_dir, parallel, resume)
 
 
 # -- plot data -------------------------------------------------------------------

@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -104,14 +103,6 @@ class Region:
         pts = np.stack([m.ravel() for m in mesh], axis=1)
         return pts[self.contains(pts, tol=1e-12)]
 
-    def scaled(self, factor: float) -> "Region":
-        return Region(self.kind, self.center, self.extent * factor)
-
-    def to_dict(self) -> dict:
-        key = "radius" if self.kind == "ball" else "halfwidths"
-        value = float(self.extent[0]) if self.kind == "ball" else self.extent.tolist()
-        return {"kind": self.kind, "center": self.center.tolist(), key: value}
-
     @staticmethod
     def from_dict(d: Mapping) -> "Region":
         kind = d["kind"]
@@ -152,9 +143,6 @@ class ParticleEnsemble:
             raise ValueError("offset dimension mismatch")
         return ParticleEnsemble(self.points + off)
 
-    def scale(self, factor: float) -> "ParticleEnsemble":
-        return ParticleEnsemble(self.points * float(factor))
-
     # -- serialization ----------------------------------------------------
 
     def to_csv(self) -> str:
@@ -175,25 +163,6 @@ class ParticleEnsemble:
         rows = [[float(v) for v in row] for row in reader if row]
         return ParticleEnsemble(np.asarray(rows, dtype=float))
 
-    def to_json_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "n": self.n,
-            "points": self.points.tolist(),
-            "provenance": self.provenance,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
-    @staticmethod
-    def from_json(text: str) -> "ParticleEnsemble":
-        d = json.loads(text)
-        ens = ParticleEnsemble(np.asarray(d["points"], dtype=float), provenance=d.get("provenance"))
-        if ens.dim != d["dim"] or ens.n != d["n"]:
-            raise ValueError("ensemble JSON is inconsistent with its points array")
-        return ens
-
 
 @dataclass(frozen=True)
 class MeasureSpec:
@@ -208,10 +177,6 @@ class MeasureSpec:
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "params": _jsonable(self.params)}
-
-    @staticmethod
-    def from_dict(d: Mapping) -> "MeasureSpec":
-        return MeasureSpec(d["kind"], dict(d.get("params", {})))
 
 
 def _jsonable(obj):
@@ -388,8 +353,3 @@ def support_radius(ens: ParticleEnsemble, center: Sequence[float]) -> float:
     if c.shape != (ens.dim,):
         raise ValueError(f"center is {c.size}-dimensional, ensemble is {ens.dim}")
     return float(np.max(np.linalg.norm(ens.points - c, axis=1)))
-
-
-def second_moment(ens: ParticleEnsemble) -> float:
-    """Mean squared norm (1/n) sum |x_i|^2."""
-    return float(np.mean(np.sum(ens.points**2, axis=1)))

@@ -35,10 +35,6 @@ MAX_SCHEDULE_PIECES = 1_000_000
 SIMPSON_SUBINTERVALS = 64
 
 
-class DegenerateFieldError(ValueError):
-    """A zero-width superposition has no oscillation representation."""
-
-
 class ControlSchedule(PiecewiseConstField):
     """Piecewise-constant weights: one (A, W, theta) triple active per piece.
 
@@ -383,10 +379,6 @@ def oscillation_schedule(nf: NeuralField, window, N: int) -> ControlSchedule:
     if N < 1:
         raise ValueError("period count N must be >= 1")
     m = nf.width
-    if m == 0:
-        raise DegenerateFieldError(
-            "zero-width field has no oscillation representation; substitute an A = 0 piece"
-        )
     scaled = [term.scaled(float(m)) for term in nf.terms]
     return ControlSchedule(np.linspace(t_a, t_b, m * N + 1), scaled * N, nf.activation)
 
@@ -501,7 +493,7 @@ def fit_windows(
         if (
             "init_terms" not in window_kwargs
             and isinstance(target, NeuralField)
-            and 0 < target.width <= params.m_width
+            and target.width <= params.m_width
             and target.activation == activation
         ):
             # window target already admissible: warm-start with its own terms

@@ -19,7 +19,6 @@ no skipped snapshot can exceed it.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,24 +51,11 @@ class Coupling:
         if self.cost < 0:
             raise ValueError("coupling cost must be nonnegative")
 
-    @property
-    def n(self) -> int:
-        return self.assignment.size
-
 
 @dataclass(frozen=True)
 class W2Result:
     distance: float
     coupling: Coupling
-
-    def to_json_dict(self, include_coupling: bool = False) -> dict:
-        d = {"distance": self.distance, "n": self.coupling.n, "cost": self.coupling.cost}
-        if include_coupling:
-            d["assignment"] = self.coupling.assignment.tolist()
-        return d
-
-    def to_json(self, include_coupling: bool = False) -> str:
-        return json.dumps(self.to_json_dict(include_coupling))
 
 
 def _check_pair(mu: ParticleEnsemble, nu: ParticleEnsemble) -> None:

@@ -216,6 +216,14 @@ class TestConfigErrors:
             pytest.param("synthesis", {"ridge": "big"}, id="synthesis5"),
             pytest.param("synthesis", {"seed": -1}, id="synthesis6"),
             pytest.param("seed", -1, id="seed0"),
+            pytest.param("integrator", {"snap_count": "5"}, id="snap-count-string"),
+            pytest.param("integrator", {"snap_count": 2.7}, id="snap-count-fraction"),
+            pytest.param("integrator", {"base_step": "0.01"}, id="base-step-string"),
+            pytest.param("integrator", {"base_step": True}, id="base-step-bool"),
+            pytest.param("synthesis", {"fit_tolerance": "0.1"}, id="fit-tolerance-string"),
+            pytest.param("synthesis", {"fit_tolerance": True}, id="fit-tolerance-bool"),
+            pytest.param("smoothing", "0.5", id="smoothing-string"),
+            pytest.param("integrator", {"snap_times": ["0", "1"]}, id="snap-times-strings"),
         ],
     )
     def test_bad_integrator_rejected_at_parse(self, section, entries, tmp_path):
@@ -226,6 +234,14 @@ class TestConfigErrors:
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "sweep")]) == EXIT_CONFIG
         out = tmp_path / "synth"
         assert main(["synthesize", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["sweep", "synthesize"])
+    def test_seed_flag_validated_before_any_output(self, command, tmp_path, capsys):
+        cfg = _write(tmp_path, "cfg.json", _trajectory_payload())
+        out = tmp_path / "o"
+        assert main([command, "--config", cfg, "--out", str(out), "--seed", "-1"]) == EXIT_CONFIG
+        assert "seed must be a nonnegative integer" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["synthesize", "simulate", "compare", "sweep", "endpoint"])

@@ -11,8 +11,6 @@ from nodesteer.fields import (
     VectorFieldSpec,
     benchmark_field,
     estimate_bounds,
-    eval_field,
-    zero_field,
 )
 
 
@@ -83,11 +81,6 @@ class TestNeuralField:
         split = NeuralField((t1,), act)(x) + NeuralField((t2,), act)(x)
         assert np.allclose(combined, split, atol=1e-15)
 
-    def test_zero_field(self):
-        field = zero_field(3)
-        assert np.array_equal(field(np.ones((4, 3))), np.zeros((4, 3)))
-        assert field.width == 0
-
     def test_zero_field_needs_dim(self):
         with pytest.raises(ValueError):
             NeuralField((), Activation("logistic"))
@@ -116,15 +109,6 @@ class TestNeuralField:
         lhs = np.linalg.norm(field(x) - field(y), axis=1)
         rhs = field.lipschitz_bound() * np.linalg.norm(x - y, axis=1)
         assert (lhs <= rhs + 1e-12).all()
-
-    def test_json_round_trip(self):
-        rng = np.random.default_rng(1)
-        term = NeuralTerm(rng.normal(size=(2, 2)), rng.normal(size=(2, 2)), rng.normal(size=2))
-        field = NeuralField((term,), Activation("tanh"))
-        back = NeuralField.from_json(field.to_json())
-        x = rng.normal(size=(5, 2))
-        assert np.array_equal(back(x), field(x))
-        assert back.activation == field.activation
 
 
 class TestPiecewiseConstField:
@@ -218,30 +202,6 @@ class TestVectorFieldSpec:
         with pytest.raises(ValueError):
             VectorFieldSpec(lambda t, x: x, 1.0, 1.0, 0.0, 1, region)
 
-    def test_unnamed_field_does_not_serialize(self):
-        region = Region("ball", np.zeros(1), 1.0)
-        vf = VectorFieldSpec(lambda t, x: np.zeros_like(x), 0.0, 0.0, 1.0, 1, region)
-        with pytest.raises(ValueError):
-            vf.to_json_dict()
-
-
-class TestEvalField:
-    def test_single_point_shape(self):
-        vf = benchmark_field("rotation", {"omega": 1.0})
-        out = eval_field(vf, 0.0, np.array([1.0, 0.0]))
-        assert out.shape == (2,)
-        assert np.allclose(out, [0.0, 1.0], atol=1e-15)
-
-    def test_time_range_enforced(self):
-        vf = benchmark_field("rotation", {"omega": 1.0, "horizon": 1.0})
-        with pytest.raises(ValueError):
-            eval_field(vf, 1.5, np.zeros(2))
-
-    def test_dim_enforced(self):
-        vf = benchmark_field("rotation", {"omega": 1.0})
-        with pytest.raises(ValueError):
-            eval_field(vf, 0.0, np.zeros(3))
-
 
 class TestBenchmarks:
     def test_rotation_flow_full_turn(self):
@@ -293,10 +253,3 @@ class TestBenchmarks:
     def test_missing_param(self):
         with pytest.raises(ValueError):
             benchmark_field("rotation", {})
-
-    def test_serialization_round_trip(self):
-        vf = benchmark_field("rotation", {"omega": 1.0})
-        d = vf.to_json_dict()
-        rebuilt = benchmark_field(d["name"], d["params"])
-        x = np.array([[0.5, 0.5]])
-        assert np.array_equal(rebuilt.velocity(0.0, x), vf.velocity(0.0, x))

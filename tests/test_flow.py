@@ -207,7 +207,7 @@ class TestSupportGrowth:
         vf = benchmark_field("rotation", {"omega": 1.0})
         traj = integrate_flow(vf, _disk(5), IntegratorConfig())
         with pytest.raises(ValueError):
-            support_growth_check(traj, r=0.0, R=1.0, C=1.0)
+            support_growth_check(traj, r=-1.0, R=1.0, C=1.0)
 
 
 class TestLipschitzCurve:

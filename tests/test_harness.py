@@ -431,7 +431,9 @@ class TestTrajectoryExperiment:
         row = run_trajectory_experiment(ExperimentConfig.from_dict(raw), tmp_path).rows[0]
         assert row.status == "ok"
         report = json.loads((tmp_path / "rows" / row.key / "report.json").read_text())
-        assert report["support_radius"] == 0.0 and report["support_growth"] is None
+        assert report["support_radius"] == 0.0
+        growth = report["support_growth"]
+        assert growth["passed"] and growth["bound"] == report["region_R"]
 
     def test_kind_mismatch(self, tmp_path):
         cfg = ExperimentConfig.from_dict(_endpoint_raw())

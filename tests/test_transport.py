@@ -38,7 +38,7 @@ class TestExactSolver:
         rng = np.random.default_rng(6)
         mu, nu = _random_pair(rng, 20, 2)
         base = w2_exact(mu, nu).distance
-        scaled = w2_exact(mu.scale(2.5), nu.scale(2.5)).distance
+        scaled = w2_exact(ParticleEnsemble(mu.points * 2.5), ParticleEnsemble(nu.points * 2.5)).distance
         assert scaled == pytest.approx(2.5 * base, rel=1e-12)
 
     def test_count_mismatch(self):
@@ -54,14 +54,6 @@ class TestExactSolver:
         mu, nu = _random_pair(rng, 25, 3)
         result = w2_exact(mu, nu)
         assert sorted(result.coupling.assignment.tolist()) == list(range(25))
-
-    def test_json_dict(self):
-        mu = ParticleEnsemble([[0.0], [1.0]])
-        nu = ParticleEnsemble([[2.0], [3.0]])
-        d = w2_exact(mu, nu).to_json_dict()
-        assert set(d) == {"distance", "n", "cost"}
-        full = w2_exact(mu, nu).to_json_dict(include_coupling=True)
-        assert "assignment" in full
 
 
 class TestBruteforceAgreement:
