@@ -69,12 +69,15 @@ def _require_keys(d: Mapping, allowed: set, required: set, where: str) -> None:
 def _number(value, name: str, integer: bool = False):
     """A config number, checked as given: an int when ``integer``, else unchanged.
 
-    Bools, strings and other non-numbers are rejected, and so is a value with
-    a fractional part where an integer is needed, so a mistyped number fails
-    the parse instead of being coerced.
+    Bools, strings and other non-numbers are rejected, and so are the
+    non-finite values ``json.loads`` reads from ``Infinity`` and ``NaN`` and a
+    value with a fractional part where an integer is needed, so a mistyped
+    number fails the parse instead of being coerced.
     """
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigError(f"{name} must be {'an integer' if integer else 'a number'}, got {value!r}")
+    if not isinstance(value, numbers.Integral) and not math.isfinite(value):
+        raise ConfigError(f"{name} must be finite, got {value!r}")
     if integer:
         if not (isinstance(value, numbers.Integral) or float(value).is_integer()):
             raise ConfigError(f"{name} must be an integer, got {value!r}")
@@ -194,8 +197,9 @@ class ExperimentConfig:
         _require_keys(integ, {"method", "base_step", "snap_count", "snap_times"}, set(), "integrator")
         if "snap_count" in integ and "snap_times" in integ:
             raise ConfigError("give snap_count or snap_times, not both")
-        if "schedule" in raw and not isinstance(raw["schedule"], str):
-            raise ConfigError("schedule must be a path string")
+        for key in ("schedule", "out_dir"):
+            if key in raw and not isinstance(raw[key], str):
+                raise ConfigError(f"{key} must be a path string")
 
         try:
             cfg = ExperimentConfig(

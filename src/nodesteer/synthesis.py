@@ -576,6 +576,17 @@ def displacement_target_field(
     with the given Gaussian bandwidth. The field is a convex combination of
     the particle displacements, so its sup norm is exactly their largest norm;
     the Lipschitz constant is estimated empirically and declared with margin.
+
+    Each evaluation shifts the kernel logits by their row maximum, so every
+    row's weight sum is at least 1, exponentiates them in place, and fuses the
+    normalisation into one matmul against ``[moves | 1]``: the last column is
+    the weight sum that divides the rest.
+
+    ``params`` records the declared K as ``lipschitz_K`` and, beside it, the
+    analytic bound ``lipschitz_bound``. The field's Jacobian is
+    Cov_w(moves, anchors) / h^2, and Popoviciu's inequality bounds its norm
+    by r_moves * span / h^2, where r_moves is the moves' support radius about
+    their mean and every anchor lies within ``span`` of the region centre.
     """
     if smoothing <= 0:
         raise ValueError("smoothing bandwidth must be positive")
@@ -586,19 +597,24 @@ def displacement_target_field(
     max_move = float(np.max(np.linalg.norm(moves, axis=1)))
     inv_two_h2 = 1.0 / (2.0 * smoothing**2)
 
+    moves_and_one = np.hstack([moves, np.ones((len(moves), 1))])
+    d = moves.shape[1]
+
     def evaluator(t, x):
         anchors = x0 + t * moves
-        logits = -cdist(x, anchors, "sqeuclidean") * inv_two_h2
-        logits -= logits.max(axis=1, keepdims=True)
-        weights = np.exp(logits)
-        weights /= weights.sum(axis=1, keepdims=True)
-        return weights @ moves
+        w = cdist(x, anchors, "sqeuclidean")
+        w *= -inv_two_h2
+        w -= w.max(axis=1, keepdims=True)
+        np.exp(w, out=w)
+        out = w @ moves_and_one
+        return out[:, :d] / out[:, d:]
 
     mid = 0.5 * (x0.mean(axis=0) + targets.mean(axis=0))
     span = max(
         support_radius(mu0, mid), support_radius(ParticleEnsemble(targets), mid)
     )
     region = Region("ball", mid, np.array([span + 2.0 * smoothing]))
+    r_moves = support_radius(ParticleEnsemble(moves), moves.mean(axis=0))
 
     declared = dict(
         bound_C=max_move,
@@ -606,10 +622,15 @@ def displacement_target_field(
         dim=mu0.dim,
         region=region,
         name="displacement-interpolation",
-        params={"bandwidth": smoothing, "n": mu0.n},
     )
     lipschitz_k = 0.0
     if max_move > 0.0:
         probe = VectorFieldSpec(evaluator, lipschitz_K=0.0, validate=False, **declared)
         lipschitz_k = estimate_bounds(probe, region, t_samples=8, x_samples=160, seed=1).K_hat * 1.25
-    return VectorFieldSpec(evaluator, lipschitz_K=lipschitz_k, **declared)
+    params = {
+        "bandwidth": smoothing,
+        "n": mu0.n,
+        "lipschitz_K": lipschitz_k,
+        "lipschitz_bound": r_moves * span / smoothing**2,
+    }
+    return VectorFieldSpec(evaluator, lipschitz_K=lipschitz_k, params=params, **declared)

@@ -196,6 +196,11 @@ class TestConfigErrors:
         cfg = _write(tmp_path, "cfg.json", _trajectory_payload())
         assert main(["sweep", "--config", cfg]) == EXIT_CONFIG
 
+    def test_non_string_out_dir(self, tmp_path, capsys):
+        cfg = _write(tmp_path, "cfg.json", _trajectory_payload(out_dir=5))
+        assert main(["sweep", "--config", cfg]) == EXIT_CONFIG
+        assert "out_dir" in capsys.readouterr().err
+
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{oops")
@@ -224,6 +229,11 @@ class TestConfigErrors:
             pytest.param("synthesis", {"fit_tolerance": True}, id="fit-tolerance-bool"),
             pytest.param("smoothing", "0.5", id="smoothing-string"),
             pytest.param("integrator", {"snap_times": ["0", "1"]}, id="snap-times-strings"),
+            pytest.param("integrator", {"base_step": float("inf")}, id="base-step-inf"),
+            pytest.param("smoothing", float("nan"), id="smoothing-nan"),
+            pytest.param("smoothing", float("inf"), id="smoothing-inf"),
+            pytest.param("synthesis", {"fit_tolerance": float("inf")}, id="fit-tolerance-inf"),
+            pytest.param("integrator", {"snap_times": [0.0, float("inf")]}, id="snap-times-inf"),
         ],
     )
     def test_bad_integrator_rejected_at_parse(self, section, entries, tmp_path):

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from nodesteer.fields import (
     Activation,
@@ -11,6 +12,7 @@ from nodesteer.fields import (
     Region,
     VectorFieldSpec,
     benchmark_field,
+    estimate_bounds,
 )
 from nodesteer.flow import IntegratorConfig, integrate_flow
 from nodesteer.measures import MeasureSpec, ParticleEnsemble, sample_measure
@@ -451,3 +453,42 @@ class TestDisplacementTargetField:
         for t in (0.0, 0.5, 1.0):
             speeds = np.linalg.norm(vf.velocity(t, x), axis=1)
             assert (speeds <= moves_max + 1e-12).all()
+
+    def _scaled_pair(self):
+        """A non-translation pair and its matched moves, ordered like mu0."""
+        mu0 = self._blob(seed=3, n=40)
+        muf = ParticleEnsemble(mu0.points * 0.5 + np.array([1.0, 1.0]))
+        assignment = w2_exact(mu0, muf).coupling.assignment
+        return mu0, muf, muf.points[assignment] - mu0.points
+
+    def test_velocity_matches_plain_softmax(self):
+        mu0, muf, moves = self._scaled_pair()
+        h = 0.3
+        vf = displacement_target_field(mu0, muf, smoothing=h)
+        x = np.random.default_rng(4).uniform(-2, 2, size=(50, 2))
+        for t in (0.0, 0.37, 1.0):
+            anchors = mu0.points + t * moves
+            weights = np.exp(-cdist(x, anchors, "sqeuclidean") / (2.0 * h**2))
+            weights /= weights.sum(axis=1, keepdims=True)
+            np.testing.assert_allclose(vf.velocity(t, x), weights @ moves, rtol=1e-13, atol=0.0)
+
+    def test_far_queries_take_nearest_move(self):
+        # Every unshifted kernel weight underflows to 0 this far out, so only
+        # the max shift keeps the weighted mean from being 0/0.
+        mu0, muf, moves = self._scaled_pair()
+        vf = displacement_target_field(mu0, muf, smoothing=0.3)
+        angles = np.linspace(0.0, 2.0 * np.pi, 12, endpoint=False)
+        x = 1e3 * np.stack([np.cos(angles), np.sin(angles)], axis=1)
+        for t in (0.0, 0.5, 1.0):
+            nearest = cdist(x, mu0.points + t * moves).argmin(axis=1)
+            vel = vf.velocity(t, x)
+            assert np.isfinite(vel).all()
+            np.testing.assert_allclose(vel, moves[nearest], rtol=1e-12)
+
+    @pytest.mark.parametrize("h", [0.2, 0.5, 1.0])
+    def test_lipschitz_bound_dominates_dense_estimate(self, h):
+        mu0, muf, _ = self._scaled_pair()
+        vf = displacement_target_field(mu0, muf, smoothing=h)
+        assert vf.params["lipschitz_K"] == vf.lipschitz_K
+        k_hat = estimate_bounds(vf, vf.region, t_samples=16, x_samples=400, seed=0).K_hat
+        assert vf.params["lipschitz_bound"] >= k_hat
