@@ -18,6 +18,8 @@ from .flow import integrate_flow
 from .harness import (
     ConfigError,
     ExperimentConfig,
+    _atomic_write,
+    _write_json,
     compute_row,
     emit_plot_data,
     run_endpoint_experiment,
@@ -84,12 +86,10 @@ def _single_point(cfg: ExperimentConfig):
 def _cmd_synthesize(cfg: ExperimentConfig, out_dir: Path, args) -> int:
     coords = _single_point(cfg)
     mu0, _, vf = cfg.build_inputs()
-    result = synthesize_controls(vf, mu0, cfg.synthesis_params(coords), **dict(cfg.fit_options))
+    result = synthesize_controls(vf, mu0, cfg.synthesis_params(coords))
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "schedule.json").write_text(result.schedule.to_json() + "\n")
-    (out_dir / "report.json").write_text(
-        json.dumps(result.report.to_json_dict(), indent=2, sort_keys=True) + "\n"
-    )
+    _atomic_write(out_dir / "schedule.json", result.schedule.to_json() + "\n")
+    _write_json(out_dir / "report.json", result.report.to_json_dict())
     flag = "" if result.report.tolerance_met else " (fit tolerance missed; see report.json)"
     print(f"wrote {out_dir / 'schedule.json'} with {result.report.piece_count} pieces{flag}")
     return EXIT_OK
@@ -114,17 +114,9 @@ def _cmd_compare(cfg: ExperimentConfig, out_dir: Path, args) -> int:
     reference = integrate_flow(vf, mu0, cfg.integrator(vf.horizon))
     result, _, sup_err, final_err = compute_row(cfg, coords, inputs, reference)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "compare.json").write_text(
-        json.dumps(
-            {
-                "sup_w2": sup_err,
-                "final_w2": final_err,
-                "report": result.report.to_json_dict(),
-            },
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n"
+    _write_json(
+        out_dir / "compare.json",
+        {"sup_w2": sup_err, "final_w2": final_err, "report": result.report.to_json_dict()},
     )
     print(f"sup_w2 = {sup_err:.6g}, final_w2 = {final_err:.6g} -> {out_dir / 'compare.json'}")
     return EXIT_OK

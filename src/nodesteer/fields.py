@@ -252,7 +252,6 @@ class VectorFieldSpec:
         params: Optional[dict] = None,
         analytic_flow: Optional[Callable[[float, np.ndarray], np.ndarray]] = None,
         static_superposition: Optional[NeuralField] = None,
-        validate: bool = True,
     ):
         if horizon <= 0:
             raise ValueError("horizon must be positive")
@@ -270,16 +269,15 @@ class VectorFieldSpec:
         # set when the evaluator is a time-independent superposition, so
         # downstream averaging/fitting can exploit admissibility exactly
         self.static_superposition = static_superposition
-        if validate:
-            est = estimate_bounds(self, region, t_samples=5, x_samples=64, seed=0)
-            if est.C_hat > self.bound_C * (1.0 + DECLARED_BOUND_SLACK) + DECLARED_BOUND_ATOL:
-                raise BoundDeclarationError(
-                    f"declared C = {self.bound_C} but sampled C_hat = {est.C_hat:.6g}"
-                )
-            if est.K_hat > self.lipschitz_K * (1.0 + DECLARED_BOUND_SLACK) + DECLARED_BOUND_ATOL:
-                raise BoundDeclarationError(
-                    f"declared K = {self.lipschitz_K} but sampled K_hat = {est.K_hat:.6g}"
-                )
+        est = estimate_bounds(self, region, t_samples=5, x_samples=64, seed=0)
+        if est.C_hat > self.bound_C * (1.0 + DECLARED_BOUND_SLACK) + DECLARED_BOUND_ATOL:
+            raise BoundDeclarationError(
+                f"declared C = {self.bound_C} but sampled C_hat = {est.C_hat:.6g}"
+            )
+        if est.K_hat > self.lipschitz_K * (1.0 + DECLARED_BOUND_SLACK) + DECLARED_BOUND_ATOL:
+            raise BoundDeclarationError(
+                f"declared K = {self.lipschitz_K} but sampled K_hat = {est.K_hat:.6g}"
+            )
 
     def velocity(self, t: float, x: np.ndarray) -> np.ndarray:
         return self._evaluator(t, np.atleast_2d(np.asarray(x, dtype=float)))

@@ -1,10 +1,12 @@
 """Declarative experiment runner: sweeps, result tables, and artifacts.
 
 An experiment config (strict JSON) names an initial measure, a target (a
-benchmark field or a target measure), synthesis knobs with optional sweep
-lists over (n_avg, m_width, n_osc), and integrator settings. Running it
-produces ``results.csv`` with one row per sweep coordinate, a JSON manifest,
-and per-row schedule/trajectory artifacts under ``rows/<key>/``. Every row runs
+benchmark field or a target measure), the synthesis settings and the
+integrator settings. The synthesis section takes n_avg, m_width and n_osc,
+each a value or a sweep list, plus fit_tolerance, region_margin and seed;
+the fit itself has no tuning keys. Running it produces ``results.csv`` with
+one row per sweep coordinate, a JSON manifest, and per-row
+schedule/trajectory artifacts under ``rows/<key>/``. Every row runs
 in this process on the one set of inputs and the one reference the sweep
 builds, in sequence or on worker threads. Rows that share (n_avg, m_width)
 differ only in n_osc and share one superposition fit, computed once per
@@ -48,9 +50,6 @@ from .synthesis import (
 from .transport import sup_w2, w2_exact
 
 RESULTS_HEADER = "n_avg,m,n_osc,sup_w2,final_w2,max_fit_err,pieces,wall_s,status"
-
-_FIT_KNOBS = ("feature_scale", "ridge", "grid_per_axis", "refine_steps", "refine_lr")
-_INTEGER_FIT_KNOBS = ("grid_per_axis", "refine_steps")
 
 
 class ConfigError(ValueError):
@@ -109,7 +108,6 @@ class ExperimentConfig:
     fit_tolerance: float = 0.1
     region_margin: float = 1.5
     synthesis_seed: Optional[int] = None
-    fit_options: Mapping = field(default_factory=dict)
     field_name: Optional[str] = None
     field_params: Mapping = field(default_factory=dict)
     target_measure: Optional[MeasureSpec] = None
@@ -169,14 +167,8 @@ class ExperimentConfig:
         syn = raw["synthesis"]
         if not isinstance(syn, Mapping):
             raise ConfigError("synthesis must be an object")
-        syn_allowed = {"n_avg", "m_width", "n_osc", "fit_tolerance", "region_margin", "seed", *_FIT_KNOBS}
+        syn_allowed = {"n_avg", "m_width", "n_osc", "fit_tolerance", "region_margin", "seed"}
         _require_keys(syn, syn_allowed, set(), "synthesis")
-        # real-valued fit knobs are kept as given, so to_dict() echoes them
-        fit_options = {
-            k: _number(syn[k], f"synthesis.{k}", integer=k in _INTEGER_FIT_KNOBS)
-            for k in _FIT_KNOBS
-            if k in syn
-        }
         synthesis_seed = None
         if "seed" in syn:
             synthesis_seed = _number(syn["seed"], "synthesis.seed", integer=True)
@@ -213,7 +205,6 @@ class ExperimentConfig:
                 fit_tolerance=float(_number(syn.get("fit_tolerance", 0.1), "synthesis.fit_tolerance")),
                 region_margin=float(_number(syn.get("region_margin", 1.5), "synthesis.region_margin")),
                 synthesis_seed=synthesis_seed,
-                fit_options=fit_options,
                 field_name=field_name,
                 field_params=field_params,
                 target_measure=(
@@ -269,7 +260,6 @@ class ExperimentConfig:
                 "fit_tolerance": self.fit_tolerance,
                 "region_margin": self.region_margin,
                 **({"seed": self.synthesis_seed} if self.synthesis_seed is not None else {}),
-                **dict(self.fit_options),
             },
             "integrator": {"method": self.method, "base_step": self.base_step},
         }
@@ -454,11 +444,6 @@ def _prepare_shared(cfg: ExperimentConfig, out_dir: Path) -> tuple:
     return inputs, reference
 
 
-def _fit_windows(cfg: ExperimentConfig, inputs: tuple, params: SynthesisParams) -> WindowFits:
-    mu0, _, vf = inputs
-    return fit_windows(vf, mu0, params, **dict(cfg.fit_options))
-
-
 class _FitMemo:
     """One sweep's window fits, each (n_avg, m_width) fitted once.
 
@@ -504,7 +489,7 @@ def compute_row(
     reference's final snapshot for trajectory configs.
     """
     mu0, muf, vf = inputs
-    window_fits = window_fits or _FitMemo(partial(_fit_windows, cfg, inputs))
+    window_fits = window_fits or _FitMemo(partial(fit_windows, vf, mu0))
     params = cfg.synthesis_params(coords)
     _check_piece_cap(params)
     result = schedule_windows(window_fits(params), params)
@@ -658,7 +643,8 @@ def _run_experiment(cfg: ExperimentConfig, kind: str, out_dir, parallel: int, re
         else:
             pending.append(coords)
 
-    window_fits = _FitMemo(partial(_fit_windows, cfg, inputs))
+    mu0, _, vf = inputs
+    window_fits = _FitMemo(partial(fit_windows, vf, mu0))
     run_row = partial(
         _execute_row,
         cfg,

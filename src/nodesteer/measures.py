@@ -146,12 +146,9 @@ class ParticleEnsemble:
     # -- serialization ----------------------------------------------------
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow([f"x{k}" for k in range(self.dim)])
-        for row in self.points:
-            writer.writerow([repr(float(v)) for v in row])
-        return buf.getvalue()
+        lines = [",".join(f"x{k}" for k in range(self.dim))]
+        lines += [",".join(map(repr, row)) for row in self.points.tolist()]
+        return "\n".join(lines) + "\n"
 
     @staticmethod
     def from_csv(text: str) -> "ParticleEnsemble":

@@ -2,8 +2,10 @@
 
 The pipeline turns a bounded Lipschitz target field into an admissible weight
 schedule in two stages. The fit stage (:func:`fit_windows`) time-averages the
-field over windows and fits one superposition per window on a compact set
-sized from the declared bounds. The schedule stage (:func:`schedule_windows`)
+field over windows and fits one logistic superposition per window on a
+compact set sized from the declared bounds, by random features and one ridge
+solve whose scale, ridge weight and grid are fixed constants; it depends on
+nothing but its inputs. The schedule stage (:func:`schedule_windows`)
 switches each fitted superposition in a periodic oscillation whose
 period-mean reproduces it exactly. Only the schedule stage reads the period
 count n_osc, so one fit serves every n_osc. A displacement-interpolation
@@ -13,7 +15,7 @@ target builder covers the steering problem between two given ensembles.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -25,7 +27,6 @@ from .fields import (
     NeuralTerm,
     PiecewiseConstField,
     VectorFieldSpec,
-    estimate_bounds,
 )
 from .measures import ParticleEnsemble, Region, support_radius
 from .transport import w2_exact
@@ -153,51 +154,32 @@ def _quadrature_window_average(vf, a: float, b: float) -> Callable[[np.ndarray],
     return piece
 
 
-def _piecewise_window_average(vf, a: float, b: float) -> Callable[[np.ndarray], np.ndarray]:
-    bp = np.asarray(vf.breakpoints, dtype=float)
-    cuts = np.unique(np.concatenate([[a, b], bp[(bp > a) & (bp < b)]]))
-    spans = np.diff(cuts)
-    idx = [vf.piece_index(float(lo)) for lo in cuts[:-1]]
-    if len(idx) == 1:
-        return vf.static_piece(idx[0])
+def time_average(vf: VectorFieldSpec, N: int) -> PiecewiseConstField:
+    """Average the field over N equal windows of [0, vf.horizon].
 
-    def piece(x: np.ndarray) -> np.ndarray:
-        acc = spans[0] * vf.static_piece(idx[0])(x)
-        for span, j in zip(spans[1:], idx[1:]):
-            acc += span * vf.static_piece(j)(x)
-        return acc / (b - a)
-
-    return piece
-
-
-def time_average(vf, N: int, horizon: Optional[float] = None) -> PiecewiseConstField:
-    """Average the field over N equal windows of [0, T].
-
-    Piece n evaluates (N/T) * integral of V_tau(x) over window n: by composite
-    Simpson quadrature for general fields, by exact subinterval weighting when
-    the input is itself piecewise constant in time, and as the field itself
-    when the input is a time-independent superposition.
+    Piece n evaluates (N/T) * integral of V_tau(x) over window n: as the field
+    itself when it declares a time-independent superposition
+    (``vf.static_superposition``), else by composite Simpson quadrature.
     """
     if N < 1:
         raise ValueError("window count N must be >= 1")
-    if horizon is None:
-        horizon = getattr(vf, "horizon", None)
-    if horizon is None:
-        raise ValueError("field needs a time horizon to average over")
-    windows = np.linspace(0.0, float(horizon), N + 1)
-    static = vf if isinstance(vf, NeuralField) else getattr(vf, "static_superposition", None)
-    if static is not None:
-        return PiecewiseConstField(windows, [static] * N)
-    builder = (
-        _piecewise_window_average if hasattr(vf, "piece_index") else _quadrature_window_average
-    )
-    pieces = [builder(vf, float(a), float(b)) for a, b in zip(windows[:-1], windows[1:])]
+    windows = np.linspace(0.0, vf.horizon, N + 1)
+    if vf.static_superposition is not None:
+        return PiecewiseConstField(windows, [vf.static_superposition] * N)
+    pieces = [
+        _quadrature_window_average(vf, float(a), float(b)) for a, b in zip(windows[:-1], windows[1:])
+    ]
     return PiecewiseConstField(windows, pieces)
 
 
 # -- superposition fitting ------------------------------------------------------
 
 _DEFAULT_GRID_PER_AXIS = {1: 256, 2: 32, 3: 12}
+# random-feature fit constants: feature directions at FEATURE_SCALE / (region
+# radius), ridge weight RIDGE per training point, logistic activation
+FEATURE_SCALE = 4.0
+RIDGE = 1e-9
+ACTIVATION = Activation("logistic")
 
 
 def _grid_per_axis(dim: int) -> int:
@@ -227,20 +209,12 @@ class SuperpositionFit:
         }
 
 
-def _activation_derivative(activation: Activation, z: np.ndarray, s: np.ndarray) -> np.ndarray:
-    if activation.kind == "logistic":
-        return s * (1.0 - s)
-    if activation.kind == "relu":
-        return (z > 0).astype(float)
-    return 1.0 - s**2  # tanh
-
-
-def _feature_matrix(x: np.ndarray, Ws: np.ndarray, thetas: np.ndarray, activation: Activation) -> np.ndarray:
+def _feature_matrix(x: np.ndarray, Ws: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     # (n, m*d) with block i holding Sigma(W_i x + theta_i)
     n, d = x.shape
     m = Ws.shape[0]
     z = np.einsum("nk,mjk->nmj", x, Ws) + thetas[None, :, :]
-    return activation(z).reshape(n, m * d)
+    return ACTIVATION(z).reshape(n, m * d)
 
 
 def _sup_error(
@@ -256,30 +230,24 @@ def fit_superposition(
     m: int,
     tol: float,
     seed: int,
-    activation: Activation = Activation("logistic"),
     init_terms: Optional[Sequence[NeuralTerm]] = None,
-    grid_per_axis: Optional[int] = None,
-    ridge: float = 1e-9,
-    feature_scale: float = 4.0,
-    refine_steps: int = 0,
-    refine_lr: float = 1e-2,
 ) -> SuperpositionFit:
-    """Fit an m-term superposition to a static field on a compact region.
+    """Fit an m-term logistic superposition to a static field on a compact region.
 
-    Random feature directions W_i are drawn at scale feature_scale / (region
+    Random feature directions W_i are drawn at scale FEATURE_SCALE / (region
     radius) with offsets theta_i centering each feature at a uniform point of
-    the region; the output matrices A_i come from ridge least squares on a
-    regular training grid. Optional joint gradient refinement of (A, W, theta)
-    then polishes all parameters. The sup error is measured on a finer,
-    offset validation grid; missing ``tol`` flags the result rather than
-    raising.
+    the region; ``init_terms`` replace the first directions and offsets. The
+    output matrices A_i come from one ridge least-squares solve on a regular
+    training grid (random kitchen sinks, Rahimi & Recht 2008). The sup error
+    is measured on a finer, offset validation grid; missing ``tol`` flags the
+    result rather than raising.
     """
     if m < 1:
         raise ValueError("width m must be >= 1")
     if region.dim < 1:
         raise ValueError("degenerate region")
     d = region.dim
-    per_axis = grid_per_axis or _grid_per_axis(d)
+    per_axis = _grid_per_axis(d)
     train = region.grid(per_axis)
     validation = region.grid(per_axis + 1)
     if train.shape[0] < m or validation.shape[0] < 1:
@@ -287,7 +255,7 @@ def fit_superposition(
 
     rng = np.random.default_rng(seed)
     rho = max(region.radius, 1e-12)
-    Ws = rng.standard_normal((m, d, d)) * (feature_scale / rho)
+    Ws = rng.standard_normal((m, d, d)) * (FEATURE_SCALE / rho)
     centers = region.sample(rng, m)
     thetas = -np.einsum("mjk,mk->mj", Ws, centers)
     if init_terms:
@@ -301,18 +269,13 @@ def fit_superposition(
     if targets.shape != train.shape:
         raise ValueError("target must map (n, d) points to (n, d) velocities")
 
-    phi = _feature_matrix(train, Ws, thetas, activation)
-    gram = phi.T @ phi + ridge * train.shape[0] * np.eye(m * d)
+    phi = _feature_matrix(train, Ws, thetas)
+    gram = phi.T @ phi + RIDGE * train.shape[0] * np.eye(m * d)
     B = np.linalg.solve(gram, phi.T @ targets)
     As = B.reshape(m, d, d).transpose(0, 2, 1)
 
-    if refine_steps > 0:
-        As, Ws, thetas = _refine_parameters(
-            train, targets, As, Ws, thetas, activation, refine_steps, refine_lr
-        )
-
     nf = NeuralField(
-        tuple(NeuralTerm(As[i], Ws[i], thetas[i]) for i in range(m)), activation
+        tuple(NeuralTerm(As[i], Ws[i], thetas[i]) for i in range(m)), ACTIVATION
     )
     err = _sup_error(target, nf, validation)
     return SuperpositionFit(
@@ -323,43 +286,6 @@ def fit_superposition(
         train_points=train.shape[0],
         validation_points=validation.shape[0],
     )
-
-
-def _refine_parameters(x, y, As, Ws, thetas, activation, steps, lr):
-    """Full-batch Adam on the mean squared residual, updating all parameters."""
-    params = [As.copy(), Ws.copy(), thetas.copy()]
-    moments = [(np.zeros_like(p), np.zeros_like(p)) for p in params]
-    beta1, beta2, eps = 0.9, 0.999, 1e-8
-    n = x.shape[0]
-    best = None
-    best_loss = np.inf
-    for step in range(1, steps + 1):
-        A, W, th = params
-        z = np.einsum("nk,mjk->nmj", x, W) + th[None, :, :]
-        s = activation(z)
-        pred = np.einsum("nmj,mij->ni", s, A)
-        resid = pred - y
-        loss = float(np.mean(resid**2))
-        if loss < best_loss:
-            best_loss = loss
-            best = [p.copy() for p in params]
-        d_pred = (2.0 / (n * y.shape[1])) * resid
-        dA = np.einsum("ni,nmj->mij", d_pred, s)
-        ds = np.einsum("ni,mij->nmj", d_pred, A)
-        dz = ds * _activation_derivative(activation, z, s)
-        dW = np.einsum("nmj,nk->mjk", dz, x)
-        dth = dz.sum(axis=0)
-        for p, g, mom in zip(params, [dA, dW, dth], moments):
-            m1, m2 = mom
-            m1 *= beta1
-            m1 += (1 - beta1) * g
-            m2 *= beta2
-            m2 += (1 - beta2) * g**2
-            m1_hat = m1 / (1 - beta1**step)
-            m2_hat = m2 / (1 - beta2**step)
-            p -= lr * m1_hat / (np.sqrt(m2_hat) + eps)
-    A, W, th = best if best is not None else params
-    return A, W, th
 
 
 # -- oscillation scheduling -----------------------------------------------------
@@ -447,7 +373,6 @@ class WindowFits:
     the schedule stage at every n_osc.
     """
 
-    activation: Activation
     dim: int
     support_radius: float
     region_R: float
@@ -461,8 +386,6 @@ def fit_windows(
     vf: VectorFieldSpec,
     mu0: ParticleEnsemble,
     params: SynthesisParams,
-    activation: Activation = Activation("logistic"),
-    **fit_kwargs,
 ) -> WindowFits:
     """Fit stage: size Omega, time-average the field, fit each window.
 
@@ -489,21 +412,18 @@ def fit_windows(
     for w in range(params.n_avg):
         windows.append((float(averaged.breakpoints[w]), float(averaged.breakpoints[w + 1])))
         target = averaged.static_piece(w)
-        window_kwargs = dict(fit_kwargs)
-        if (
-            "init_terms" not in window_kwargs
-            and isinstance(target, NeuralField)
+        # a window target that is already admissible warm-starts with its own terms
+        admissible = (
+            isinstance(target, NeuralField)
             and target.width <= params.m_width
-            and target.activation == activation
-        ):
-            # window target already admissible: warm-start with its own terms
-            window_kwargs["init_terms"] = target.terms
+            and target.activation == ACTIVATION
+        )
         fits.append(
             fit_superposition(
-                target, omega, params.m_width, delta, seeds[w], activation=activation, **window_kwargs
+                target, omega, params.m_width, delta, seeds[w], target.terms if admissible else None
             )
         )
-    return WindowFits(activation, d, r, R, C, delta, tuple(windows), tuple(fits))
+    return WindowFits(d, r, R, C, delta, tuple(windows), tuple(fits))
 
 
 def schedule_windows(fits: WindowFits, params: SynthesisParams) -> SynthesisResult:
@@ -513,7 +433,7 @@ def schedule_windows(fits: WindowFits, params: SynthesisParams) -> SynthesisResu
     window whose fit is identically zero gets one quiescent piece instead.
     The caller checks the piece cap first (:func:`_check_piece_cap`).
     """
-    d, activation = fits.dim, fits.activation
+    d = fits.dim
     all_breakpoints = [0.0]
     all_pieces = []
     window_fits = []
@@ -523,7 +443,7 @@ def schedule_windows(fits: WindowFits, params: SynthesisParams) -> SynthesisResu
             window_schedule = ControlSchedule(
                 np.array([a, b]),
                 [NeuralTerm(np.zeros((d, d)), np.eye(d), np.zeros(d))],
-                activation,
+                ACTIVATION,
             )
         else:
             window_schedule = oscillation_schedule(fit.field, (a, b), params.n_osc)
@@ -531,10 +451,10 @@ def schedule_windows(fits: WindowFits, params: SynthesisParams) -> SynthesisResu
         all_pieces.extend(window_schedule.pieces)
         window_fits.append({"window": [a, b], **fit.to_dict()})
 
-    schedule = ControlSchedule(np.asarray(all_breakpoints), all_pieces, activation)
+    schedule = ControlSchedule(np.asarray(all_breakpoints), all_pieces, ACTIVATION)
     report = SynthesisReport(
         params=params,
-        activation=activation.kind,
+        activation=ACTIVATION.kind,
         support_radius=fits.support_radius,
         region_R=fits.region_R,
         omega_radius=fits.region_R + fits.support_radius,
@@ -551,8 +471,6 @@ def synthesize_controls(
     vf: VectorFieldSpec,
     mu0: ParticleEnsemble,
     params: SynthesisParams,
-    activation: Activation = Activation("logistic"),
-    **fit_kwargs,
 ) -> SynthesisResult:
     """Run the full synthesis pipeline against a declared-bound target field.
 
@@ -560,7 +478,7 @@ def synthesize_controls(
     the schedule stage (:func:`schedule_windows`) at params.n_osc.
     """
     _check_piece_cap(params)
-    return schedule_windows(fit_windows(vf, mu0, params, activation, **fit_kwargs), params)
+    return schedule_windows(fit_windows(vf, mu0, params), params)
 
 
 # -- steering target from two ensembles ------------------------------------------
@@ -574,16 +492,15 @@ def displacement_target_field(
     Matches the ensembles with the exact W2 coupling, then kernel-regresses
     the matched displacements onto the straight-line interpolated positions
     with the given Gaussian bandwidth. The field is a convex combination of
-    the particle displacements, so its sup norm is exactly their largest norm;
-    the Lipschitz constant is estimated empirically and declared with margin.
+    the particle displacements, so its sup norm is exactly their largest norm.
 
     Each evaluation shifts the kernel logits by their row maximum, so every
     row's weight sum is at least 1, exponentiates them in place, and fuses the
     normalisation into one matmul against ``[moves | 1]``: the last column is
     the weight sum that divides the rest.
 
-    ``params`` records the declared K as ``lipschitz_K`` and, beside it, the
-    analytic bound ``lipschitz_bound``. The field's Jacobian is
+    The declared Lipschitz constant K (also ``params["lipschitz_K"]``) is an
+    analytic bound that holds for every x and t. The field's Jacobian is
     Cov_w(moves, anchors) / h^2, and Popoviciu's inequality bounds its norm
     by r_moves * span / h^2, where r_moves is the moves' support radius about
     their mean and every anchor lies within ``span`` of the region centre.
@@ -615,22 +532,15 @@ def displacement_target_field(
     )
     region = Region("ball", mid, np.array([span + 2.0 * smoothing]))
     r_moves = support_radius(ParticleEnsemble(moves), moves.mean(axis=0))
+    lipschitz_k = r_moves * span / smoothing**2
 
-    declared = dict(
+    return VectorFieldSpec(
+        evaluator,
         bound_C=max_move,
+        lipschitz_K=lipschitz_k,
         horizon=1.0,
         dim=mu0.dim,
         region=region,
         name="displacement-interpolation",
+        params={"bandwidth": smoothing, "n": mu0.n, "lipschitz_K": lipschitz_k},
     )
-    lipschitz_k = 0.0
-    if max_move > 0.0:
-        probe = VectorFieldSpec(evaluator, lipschitz_K=0.0, validate=False, **declared)
-        lipschitz_k = estimate_bounds(probe, region, t_samples=8, x_samples=160, seed=1).K_hat * 1.25
-    params = {
-        "bandwidth": smoothing,
-        "n": mu0.n,
-        "lipschitz_K": lipschitz_k,
-        "lipschitz_bound": r_moves * span / smoothing**2,
-    }
-    return VectorFieldSpec(evaluator, lipschitz_K=lipschitz_k, params=params, **declared)

@@ -133,13 +133,13 @@ class TestSweep:
 
     def test_partial_failure_exit_three(self, tmp_path):
         payload = _trajectory_payload()
-        payload["synthesis"].update(m_width=[2, 64], grid_per_axis=3)
+        payload["synthesis"].update(m_width=[2, 1024])
         cfg = _write(tmp_path, "cfg.json", payload)
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_PARTIAL
 
     def test_all_failed_exit_two(self, tmp_path):
         payload = _trajectory_payload()
-        payload["synthesis"].update(m_width=64, grid_per_axis=3)
+        payload["synthesis"].update(m_width=1024)
         cfg = _write(tmp_path, "cfg.json", payload)
         out = tmp_path / "o"
         assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_ALL_FAILED
@@ -216,9 +216,9 @@ class TestConfigErrors:
             pytest.param("synthesis", {"region_margin": 0.5}, id="synthesis0"),
             pytest.param("synthesis", {"fit_tolerance": -1}, id="synthesis1"),
             pytest.param("synthesis", {"seed": "x"}, id="synthesis2"),
-            pytest.param("synthesis", {"grid_per_axis": "8"}, id="synthesis3"),
-            pytest.param("synthesis", {"refine_steps": "3"}, id="synthesis4"),
-            pytest.param("synthesis", {"ridge": "big"}, id="synthesis5"),
+            pytest.param("synthesis", {"grid_per_axis": 32}, id="synthesis3"),
+            pytest.param("synthesis", {"refine_steps": 0}, id="synthesis4"),
+            pytest.param("synthesis", {"ridge": 1e-9}, id="synthesis5"),
             pytest.param("synthesis", {"seed": -1}, id="synthesis6"),
             pytest.param("seed", -1, id="seed0"),
             pytest.param("integrator", {"snap_count": "5"}, id="snap-count-string"),
@@ -245,6 +245,25 @@ class TestConfigErrors:
         out = tmp_path / "synth"
         assert main(["synthesize", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("feature_scale", 4.0),
+            ("ridge", 1e-9),
+            ("grid_per_axis", 32),
+            ("refine_steps", 0),
+            ("refine_lr", 1e-2),
+        ],
+    )
+    def test_removed_fit_key_named_in_the_error(self, key, value, tmp_path, capsys):
+        payload = _trajectory_payload()
+        payload["synthesis"][key] = value
+        with pytest.raises(ConfigError, match=key):
+            ExperimentConfig.from_dict(payload)
+        cfg = _write(tmp_path, "cfg.json", payload)
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert f"unknown key(s) ['{key}'] in synthesis" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["sweep", "synthesize"])
     def test_seed_flag_validated_before_any_output(self, command, tmp_path, capsys):

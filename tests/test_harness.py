@@ -291,41 +291,45 @@ class TestTrajectoryExperiment:
 
     def test_row_failure_is_isolated(self, tmp_path):
         raw = _trajectory_raw()
-        raw["synthesis"]["m_width"] = [2, 64]
+        raw["synthesis"]["m_width"] = [2, 1024]
         raw["synthesis"]["n_osc"] = 1
-        raw["synthesis"]["grid_per_axis"] = 3
         cfg = ExperimentConfig.from_dict(raw)
         table = run_trajectory_experiment(cfg, tmp_path)
         by_m = {r.m: r for r in table.rows}
         assert by_m[2].status == "ok"
-        assert by_m[64].status == "failed"
-        assert "coarse" in by_m[64].error
-        assert math.isnan(by_m[64].sup_w2)
+        assert by_m[1024].status == "failed"
+        assert "coarse" in by_m[1024].error
+        assert math.isnan(by_m[1024].sup_w2)
         assert table.any_failed and not table.all_failed
         line = (tmp_path / "results.csv").read_text().strip().splitlines()[2]
         assert line.split(",")[-1] == "failed"
-        assert not (tmp_path / "rows" / by_m[64].key / "schedule.json").exists()
+        assert not (tmp_path / "rows" / by_m[1024].key / "schedule.json").exists()
 
     def test_failed_rows_recomputed_on_resume(self, tmp_path):
         raw = _trajectory_raw()
-        raw["synthesis"]["m_width"] = [2, 64]
+        raw["synthesis"]["m_width"] = [2, 1024]
         raw["synthesis"]["n_osc"] = 1
-        raw["synthesis"]["grid_per_axis"] = 3
         cfg = ExperimentConfig.from_dict(raw)
         run_trajectory_experiment(cfg, tmp_path)
-        failed_row = tmp_path / "rows" / row_key((1, 64, 1)) / "row.json"
+        failed_row = tmp_path / "rows" / row_key((1, 1024, 1)) / "row.json"
         stamp = failed_row.stat().st_mtime_ns
         table = run_trajectory_experiment(cfg, tmp_path, resume=True)
         assert failed_row.stat().st_mtime_ns != stamp
         assert {r.status for r in table.rows} == {"ok", "failed"}
 
-    def test_rerun_clears_the_previous_row_artifacts(self, tmp_path):
+    def test_rerun_clears_the_previous_row_artifacts(self, tmp_path, monkeypatch):
         raw = _trajectory_raw()
         raw["synthesis"].update(m_width=64, n_osc=1)
-        (first,) = run_trajectory_experiment(ExperimentConfig.from_dict(raw), tmp_path).rows
+        cfg = ExperimentConfig.from_dict(raw)
+        (first,) = run_trajectory_experiment(cfg, tmp_path).rows
         assert first.status == "ok"
-        raw["synthesis"]["grid_per_axis"] = 3
-        (second,) = run_trajectory_experiment(ExperimentConfig.from_dict(raw), tmp_path).rows
+
+        def too_coarse(*args, **kwargs):
+            raise ValueError("region grid too coarse for the requested width")
+
+        # the rerun fails the same coordinate, so it reuses the row's directory
+        monkeypatch.setattr(synthesis, "fit_superposition", too_coarse)
+        (second,) = run_trajectory_experiment(cfg, tmp_path).rows
         assert second.status == "failed"
         row_dir = tmp_path / "rows" / second.key
         assert sorted(p.name for p in row_dir.rglob("*")) == ["row.json"]
@@ -585,16 +589,16 @@ class TestSharedFits:
     def test_a_failing_fit_fails_every_row_of_its_key(self, tmp_path, monkeypatch, parallel):
         widths = _count_fits(monkeypatch)
         raw = _trajectory_raw()
-        raw["synthesis"].update(m_width=[2, 64], n_osc=[1, 2], grid_per_axis=3)
+        raw["synthesis"].update(m_width=[2, 1024], n_osc=[1, 2])
         table = run_trajectory_experiment(ExperimentConfig.from_dict(raw), tmp_path, parallel=parallel)
         by_coords = {r.coords: r for r in table.rows}
         for n_osc in (1, 2):
             assert by_coords[(1, 2, n_osc)].status == "ok"
-            failed = by_coords[(1, 64, n_osc)]
+            failed = by_coords[(1, 1024, n_osc)]
             assert failed.status == "failed"
             assert failed.error == "ValueError: region grid too coarse for the requested width"
         # a failed fit is not kept: each row of its key tries again
-        assert sorted(widths) == [2, 64, 64]
+        assert sorted(widths) == [2, 1024, 1024]
 
 
 def _plot_table(rows, tmp_path):

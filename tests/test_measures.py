@@ -95,6 +95,12 @@ class TestParticleEnsemble:
         text = ParticleEnsemble([[1.0, 2.0]]).to_csv()
         assert text.splitlines()[0] == "x0,x1"
 
+    def test_csv_exact_bytes(self):
+        pts = [[-0.0, 1e-300], [0.1, -2.5e10], [1.0 / 3.0, 5e-324]]
+        assert ParticleEnsemble(pts).to_csv() == (
+            "x0,x1\n-0.0,1e-300\n0.1,-25000000000.0\n0.3333333333333333,5e-324\n"
+        )
+
     def test_csv_bad_header(self):
         with pytest.raises(ValueError):
             ParticleEnsemble.from_csv("a,b\n1.0,2.0\n")
