@@ -623,10 +623,13 @@ def _run_experiment(cfg: ExperimentConfig, kind: str, out_dir, parallel: int, re
     fits of different keys may run at the same time; otherwise rows run in
     order on the calling thread. With ``resume``, a row computed under the
     same config (see :func:`_config_fingerprint`) whose artifacts remain is
-    kept as is. A config of another kind fails before anything is written.
+    kept as is. A config of another kind, or ``parallel`` below 1, fails
+    before anything is written.
     """
     if cfg.kind != kind:
         raise ConfigError(f"{kind} sweep got a {cfg.kind!r} config")
+    if parallel < 1:
+        raise ConfigError(f"parallel must be at least 1, got {parallel}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "rows").mkdir(exist_ok=True)

@@ -2,9 +2,24 @@
 
 For two n-point equal-weight measures an optimal transport plan is induced by
 a permutation, so W2 reduces to a linear assignment problem on the squared
-Euclidean cost matrix. `w2_exact` solves it with scipy's O(n^3) assignment
-solver; `w2_bruteforce` enumerates all n! permutations and is the testing
-oracle for small n.
+Euclidean cost matrix C_ij = |x_i - y_j|^2. `w2_exact` first tries to certify
+the identity coupling x_i -> y_i, the one a labelled flow pushes forward, and
+calls scipy's O(n^3) assignment solver only when that fails; `w2_bruteforce`
+enumerates all n! permutations and is the testing oracle for small n.
+
+The certificate is a vector of dual potentials p with
+p_i + C_ij >= p_j + C_jj - eps for every i and j. Summed along any
+permutation the potentials telescope, so a certified identity's normalized
+cost is at most the optimum + eps, where eps is `_EPS_REL` times that cost.
+The potentials are shortest-path distances for the reduced costs
+C_ij - C_jj, found by Bellman-Ford rounds on a sparse graph whose edges into
+target j come from the `_NEIGHBOURS` sources nearest x_j: the tight
+constraints of a near-identity map are short hops. A cycle among the
+Bellman-Ford predecessors is a negative cycle, which proves the identity is
+not optimal, and sends the pair straight to the assignment solve. Otherwise
+the potentials are checked against every (i, j), a block of sources at a time;
+each violated target gains an edge from its worst source and relaxation
+resumes, and after `_DENSE_CHECKS` failed checks the assignment solve runs.
 
 `sup_w2` reports only the largest W2 over paired snapshots of two particle
 curves, so it solves only the snapshots that can hold it. Paired snapshots
@@ -23,11 +38,21 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
+from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 from .measures import ParticleEnsemble
 
 BRUTEFORCE_MAX_N = 8
+
+# Identity certificate: sources per target in the sparse graph, the tolerance
+# eps as a share of the identity cost, Bellman-Ford rounds between cycle
+# checks, dense checks before giving up, and sources per block of a dense check.
+_NEIGHBOURS = 32
+_EPS_REL = 1e-12
+_CYCLE_CHECK_EVERY = 4
+_DENSE_CHECKS = 4
+_BLOCK_SOURCES = 256
 
 
 @dataclass(frozen=True)
@@ -54,8 +79,16 @@ class Coupling:
 
 @dataclass(frozen=True)
 class W2Result:
+    """W2 distance, its coupling, and the path that found it.
+
+    method is "identity" when the identity coupling was certified,
+    "assignment" when the assignment solver ran, and "bruteforce" for the
+    enumeration oracle.
+    """
+
     distance: float
     coupling: Coupling
+    method: str
 
 
 def _check_pair(mu: ParticleEnsemble, nu: ParticleEnsemble) -> None:
@@ -65,15 +98,116 @@ def _check_pair(mu: ParticleEnsemble, nu: ParticleEnsemble) -> None:
         raise ValueError(f"particle count mismatch: {mu.n} vs {nu.n}")
 
 
+def _sq_norm(diff: np.ndarray) -> np.ndarray:
+    """Squared norms over the last axis, coordinates summed in order as cdist does."""
+    sq = diff[..., 0] * diff[..., 0]
+    for k in range(1, diff.shape[-1]):
+        sq = sq + diff[..., k] * diff[..., k]
+    return sq
+
+
+def _identity_costs(mu: ParticleEnsemble, nu: ParticleEnsemble) -> tuple:
+    """(C_jj = |x_j - y_j|^2 for every j, the identity coupling's normalized cost)."""
+    diag = _sq_norm(mu.points - nu.points)
+    return diag, float(diag.sum() / mu.n)
+
+
+def _has_cycle(pred: np.ndarray) -> bool:
+    """Whether the predecessor graph has a cycle; pred[j] == n marks a root.
+
+    Pointer doubling: after n.bit_length() squarings every node has walked
+    at least n + 1 steps, so a node off the root is on or behind a cycle.
+    """
+    n = pred.size
+    up = np.append(pred, n)
+    for _ in range(n.bit_length()):
+        up = up[up]
+    return bool((up[:n] != n).any())
+
+
+def _dense_slack(x: np.ndarray, y: np.ndarray, p: np.ndarray, floor: np.ndarray) -> tuple:
+    """Per target j, min over sources i of p_i + C_ij - floor_j and an i attaining it.
+
+    C is built `_BLOCK_SOURCES` sources at a time, never as a whole n x n matrix,
+    and laid out as (target, source) so each minimum runs along a row.
+    """
+    n = x.shape[0]
+    targets = np.arange(n)
+    slack = np.full(n, np.inf)
+    source = np.zeros(n, dtype=np.intp)
+    for start in range(0, n, _BLOCK_SOURCES):
+        block = cdist(y, x[start : start + _BLOCK_SOURCES], "sqeuclidean")
+        block += p[start : start + _BLOCK_SOURCES]
+        i = block.argmin(axis=1)
+        value = block[targets, i] - floor
+        lower = value < slack
+        slack[lower] = value[lower]
+        source[lower] = i[lower] + start
+    return slack, source
+
+
+def _identity_certified(x: np.ndarray, y: np.ndarray, diag: np.ndarray, eps: float) -> bool:
+    """Whether potentials p with p_i + C_ij >= p_j + C_jj - eps for all i, j were found.
+
+    Jacobi Bellman-Ford from a virtual source on the reduced costs
+    w_ij = C_ij - C_jj, with edges into j from the sources nearest x_j, and
+    updates taken only when they gain more than eps. The potentials are then
+    checked against every (i, j); each violated target gains an edge from its
+    worst source and relaxation resumes, for at most `_DENSE_CHECKS` checks.
+    False on a predecessor cycle (a negative cycle, so the identity is not
+    optimal), on n rounds without convergence, or when the checks run out.
+    """
+    n = x.shape[0]
+    k = min(_NEIGHBOURS, n)
+    nbr = cKDTree(x).query(x, k=k)[1].reshape(n, k)
+    w = _sq_norm(x[nbr] - y[:, None, :]) - diag[:, None]
+    rows = np.arange(n)
+    p = np.zeros(n)
+    pred = np.full(n, n)
+    for _ in range(_DENSE_CHECKS):
+        for r in range(1, n + 1):
+            cand = p[nbr] + w
+            arg = cand.argmin(axis=1)
+            best = cand[rows, arg]
+            improved = best < p - eps
+            if not improved.any():
+                break
+            p[improved] = best[improved]
+            pred[improved] = nbr[improved, arg[improved]]
+            if r % _CYCLE_CHECK_EVERY == 0 and _has_cycle(pred):
+                return False
+        else:
+            return False
+        slack, source = _dense_slack(x, y, p, p + diag - eps)
+        violated = slack < 0
+        if not violated.any():
+            return True
+        # a target without a violation gains its own edge, of weight 0
+        extra = np.where(violated, source, rows)
+        nbr = np.column_stack([nbr, extra])
+        w = np.column_stack([w, _sq_norm(x[extra] - y) - diag])
+    return False
+
+
 def w2_exact(mu: ParticleEnsemble, nu: ParticleEnsemble) -> W2Result:
-    """Exact W2 between equal-weight ensembles via optimal assignment."""
+    """Exact W2 between equal-weight ensembles.
+
+    The identity coupling x_i -> y_i is returned when dual potentials certify
+    that its normalized cost is at most the optimum + eps, with eps
+    `_EPS_REL` times that cost; its distance is then `_identity_w2`'s, bit
+    for bit. Otherwise scipy's O(n^3) assignment solver finds an optimal
+    permutation. ``method`` says which path ran.
+    """
     _check_pair(mu, nu)
+    diag, identity_cost = _identity_costs(mu, nu)
+    if _identity_certified(mu.points, nu.points, diag, _EPS_REL * identity_cost):
+        return W2Result(float(np.sqrt(identity_cost)), Coupling(np.arange(mu.n), identity_cost), "identity")
     cost_matrix = cdist(mu.points, nu.points, "sqeuclidean")
     rows, cols = linear_sum_assignment(cost_matrix)
     assignment = np.empty(mu.n, dtype=np.intp)
     assignment[rows] = cols
     cost = float(cost_matrix[rows, cols].sum() / mu.n)
-    return W2Result(float(np.sqrt(cost)), Coupling(assignment, cost))
+    return W2Result(float(np.sqrt(cost)), Coupling(assignment, cost), "assignment")
 
 
 def w2_bruteforce(mu: ParticleEnsemble, nu: ParticleEnsemble) -> W2Result:
@@ -91,7 +225,7 @@ def w2_bruteforce(mu: ParticleEnsemble, nu: ParticleEnsemble) -> W2Result:
             best_cost = total
             best_perm = perm
     cost = float(best_cost / mu.n)
-    return W2Result(float(np.sqrt(cost)), Coupling(np.asarray(best_perm), cost))
+    return W2Result(float(np.sqrt(cost)), Coupling(np.asarray(best_perm), cost), "bruteforce")
 
 
 def _identity_w2(mu: ParticleEnsemble, nu: ParticleEnsemble) -> float:
@@ -102,11 +236,7 @@ def _identity_w2(mu: ParticleEnsemble, nu: ParticleEnsemble) -> float:
     `w2_exact`'s distance bit for bit whenever the identity is optimal.
     """
     _check_pair(mu, nu)
-    diff = mu.points - nu.points
-    sq = diff[:, 0] * diff[:, 0]
-    for k in range(1, mu.dim):
-        sq = sq + diff[:, k] * diff[:, k]
-    return float(np.sqrt(float(sq.sum() / mu.n)))
+    return float(np.sqrt(_identity_costs(mu, nu)[1]))
 
 
 def _max_w2(pairs, divisors) -> tuple:

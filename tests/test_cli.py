@@ -273,6 +273,15 @@ class TestConfigErrors:
         assert "seed must be a nonnegative integer" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, payload", [("sweep", _trajectory_payload), ("endpoint", _endpoint_payload)])
+    @pytest.mark.parametrize("parallel", ["0", "-1"])
+    def test_parallel_below_one_rejected_before_any_output(self, command, payload, parallel, tmp_path, capsys):
+        cfg = _write(tmp_path, "cfg.json", payload())
+        out = tmp_path / "o"
+        assert main([command, "--config", cfg, "--out", str(out), "--parallel", parallel]) == EXIT_CONFIG
+        assert f"parallel must be at least 1, got {parallel}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["synthesize", "simulate", "compare", "sweep", "endpoint"])
     def test_every_subcommand_validates_config(self, command, tmp_path):
         cfg = _write(tmp_path, "cfg.json", {"kind": "trajectory"})

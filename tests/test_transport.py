@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
+from scipy.spatial.distance import cdist
 
 import nodesteer.transport as transport
 from nodesteer.flow import IntegratorConfig, MeasureTrajectory, integrate_flow
@@ -14,6 +16,25 @@ def _random_pair(rng, n, d, scale=1.0):
     mu = ParticleEnsemble(rng.normal(size=(n, d)) * scale)
     nu = ParticleEnsemble(rng.normal(size=(n, d)) * scale)
     return mu, nu
+
+
+def _brenier_pair(rng, n, d):
+    """(x, y) with y = x + grad phi(x) for a convex phi, so the identity is optimal."""
+    x = rng.normal(size=(n, d))
+    a = rng.normal(size=(d, d))
+    slopes = rng.normal(size=(4, d))
+    logits = x @ slopes.T
+    soft = np.exp(logits - logits.max(axis=1, keepdims=True))
+    soft /= soft.sum(axis=1, keepdims=True)
+    # phi = x'(a'a)x / 10 + b.x + 0.3 log sum_k exp(slopes_k . x)
+    y = x + 0.2 * x @ a.T @ a + rng.normal(size=d) + 0.3 * soft @ slopes
+    return ParticleEnsemble(x), ParticleEnsemble(y)
+
+
+def _assignment_w2(mu, nu):
+    cost_matrix = cdist(mu.points, nu.points, "sqeuclidean")
+    rows, cols = linear_sum_assignment(cost_matrix)
+    return float(np.sqrt(cost_matrix[rows, cols].sum() / mu.n)), cols[np.argsort(rows)]
 
 
 class TestExactSolver:
@@ -78,6 +99,121 @@ class TestBruteforceAgreement:
     def test_agreement_property(self, n, d, seed):
         mu, nu = _random_pair(np.random.default_rng(seed), n, d)
         assert abs(w2_exact(mu, nu).distance - w2_bruteforce(mu, nu).distance) <= 1e-9
+
+
+class TestIdentityCertificate:
+    """w2_exact returns a certified identity coupling or falls back to assignment."""
+
+    def _spy_cycles(self, monkeypatch):
+        found = []
+        original = transport._has_cycle
+
+        def spied(pred):
+            found.append(original(pred))
+            return found[-1]
+
+        monkeypatch.setattr(transport, "_has_cycle", spied)
+        return found
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 8), st.integers(1, 3), st.floats(0.0, 2.0), st.integers(0, 10_000))
+    def test_agrees_with_bruteforce(self, n, d, spread, seed):
+        rng = np.random.default_rng(seed)
+        mu = ParticleEnsemble(rng.normal(size=(n, d)))
+        nu = ParticleEnsemble(mu.points + rng.normal(size=d) + spread * rng.normal(size=(n, d)))
+        result = w2_exact(mu, nu)
+        brute = w2_bruteforce(mu, nu).distance
+        assert result.distance == pytest.approx(brute, rel=1e-12, abs=1e-300)
+        if result.method == "identity":
+            assert result.distance == _identity_w2(mu, nu)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.sampled_from(["random", "brenier"]), st.integers(1, 300), st.integers(1, 3), st.integers(0, 10_000))
+    def test_agrees_with_the_assignment_solver(self, kind, n, d, seed):
+        rng = np.random.default_rng(seed)
+        mu, nu = _random_pair(rng, n, d) if kind == "random" else _brenier_pair(rng, n, d)
+        result = w2_exact(mu, nu)
+        expected, _ = _assignment_w2(mu, nu)
+        assert result.distance == pytest.approx(expected, rel=1e-12, abs=1e-300)
+        assert result.coupling.cost == pytest.approx(expected**2, rel=1e-12, abs=1e-300)
+        if kind == "random" and n >= 50:
+            assert result.method == "assignment"
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_brenier_pair_is_certified_bitwise(self, d):
+        mu, nu = _brenier_pair(np.random.default_rng(d), 300, d)
+        result = w2_exact(mu, nu)
+        assert result.method == "identity"
+        assert result.coupling.assignment.tolist() == list(range(300))
+        assert result.distance == _identity_w2(mu, nu)
+        expected, assignment = _assignment_w2(mu, nu)
+        assert assignment.tolist() == list(range(300))
+        assert result.distance == expected
+
+    def test_swapped_far_targets_are_a_negative_cycle(self, monkeypatch):
+        x = np.random.default_rng(0).normal(size=(200, 2))
+        far = [int(np.argmin(x[:, 0])), int(np.argmax(x[:, 0]))]
+        y = x.copy()
+        y[far] = y[far[::-1]]
+        found = self._spy_cycles(monkeypatch)
+        result = w2_exact(ParticleEnsemble(x), ParticleEnsemble(y))
+        assert found[-1] is True
+        assert result.method == "assignment"
+        assert result.distance == 0.0
+        assert result.coupling.assignment[far].tolist() == far[::-1]
+
+    def test_failed_dense_check_falls_back(self, monkeypatch):
+        mu, nu = _brenier_pair(np.random.default_rng(4), 200, 2)
+        assert w2_exact(mu, nu).method == "identity"
+        found = self._spy_cycles(monkeypatch)
+        monkeypatch.setattr(transport, "_NEIGHBOURS", 1)
+        monkeypatch.setattr(transport, "_DENSE_CHECKS", 1)
+        result = w2_exact(mu, nu)
+        assert not any(found)
+        assert result.method == "assignment"
+        assert result.distance == _assignment_w2(mu, nu)[0]
+
+    def test_violated_pairs_join_the_graph(self, monkeypatch):
+        # the 32-nearest-source graph misses tight edges of this pair
+        mu, nu = _brenier_pair(np.random.default_rng(3), 300, 3)
+        assert w2_exact(mu, nu).method == "identity"
+        monkeypatch.setattr(transport, "_DENSE_CHECKS", 1)
+        assert w2_exact(mu, nu).method == "assignment"
+
+    @pytest.mark.parametrize("neighbours", [1, 32])
+    @pytest.mark.parametrize("delta, method", [(1e-14, "identity"), (1e-10, "assignment")])
+    def test_certified_cost_is_within_eps_of_the_optimum(self, delta, method, neighbours, monkeypatch):
+        # The swap beats the identity by 2 * delta per particle and eps is
+        # 1e-12 * (0.5 + delta)^2. With one neighbour only the dense check
+        # sees the swap; with both, relaxation sees it first.
+        mu = ParticleEnsemble([[0.0], [1.0]])
+        nu = ParticleEnsemble([[0.5 + delta], [0.5 - delta]])
+        monkeypatch.setattr(transport, "_NEIGHBOURS", neighbours)
+        result = w2_exact(mu, nu)
+        assert result.method == method
+        optimum = w2_bruteforce(mu, nu).coupling.cost
+        assert optimum < _identity_w2(mu, nu) ** 2
+        assert result.coupling.cost <= optimum + transport._EPS_REL * result.coupling.cost
+
+    @pytest.mark.parametrize(
+        "x, y",
+        [
+            ([[0.5, -1.0]], [[2.0, 3.0]]),
+            ([[0.0], [1.0]], [[0.5], [2.0]]),
+            ([[0.0], [1.0]], [[2.0], [0.5]]),
+            ([[0.0, 0.0]] * 3 + [[1.0, 1.0]] * 3, [[0.1, 0.0]] * 3 + [[1.1, 1.0]] * 3),
+            ([[0.0, 0.0]] * 3 + [[1.0, 1.0]] * 3, [[1.1, 1.0]] * 3 + [[0.1, 0.0]] * 3),
+            ([[1.0, 2.0]] * 5, [[3.0, 0.0], [1.0, 1.0], [0.0, 2.0], [-1.0, 2.0], [5.0, 5.0]]),
+            ([[1.0, 2.0]] * 5, [[1.0, 2.0]] * 5),
+        ],
+        ids=["n1", "n2-monotone", "n2-crossed", "duplicates", "duplicates-swapped", "all-equal-sources", "all-equal"],
+    )
+    def test_degenerate_inputs(self, x, y):
+        mu, nu = ParticleEnsemble(x), ParticleEnsemble(y)
+        result = w2_exact(mu, nu)
+        assert result.distance == pytest.approx(w2_bruteforce(mu, nu).distance, rel=1e-12, abs=1e-300)
+        identity_optimal = _identity_w2(mu, nu) == w2_bruteforce(mu, nu).distance
+        assert result.method == ("identity" if identity_optimal else "assignment")
 
 
 class TestMetricAxioms:
