@@ -7,7 +7,6 @@ the 2-Wasserstein metric.
 """
 
 from .fields import (
-    Activation,
     BoundDeclarationError,
     BoundEstimate,
     NeuralField,
@@ -61,7 +60,6 @@ from .transport import Coupling, W2Result, sup_w2, w2_bruteforce, w2_exact
 __version__ = "0.1.0"
 
 __all__ = [
-    "Activation",
     "BoundDeclarationError",
     "BoundEstimate",
     "ConfigError",

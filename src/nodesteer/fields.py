@@ -9,6 +9,10 @@ kinds are
 * :class:`VectorFieldSpec` -- an arbitrary evaluator with declared sup-norm and
   Lipschitz bounds over a region, validated against sampled estimates,
 * :class:`PiecewiseConstField` -- static pieces on consecutive time windows.
+
+Every term's activation Sigma is the logistic function :func:`logistic`,
+whose Lipschitz constant is 1/4. A term :class:`NeuralTerm` evaluates itself,
+and a superposition sums its terms' calls.
 """
 
 from __future__ import annotations
@@ -32,37 +36,13 @@ DECLARED_BOUND_SLACK = 0.05
 DECLARED_BOUND_ATOL = 1e-9
 
 
-def _logistic(x):
-    return 1.0 / (1.0 + np.exp(-x))
+def logistic(z):
+    """The activation Sigma of every term, applied componentwise."""
+    return 1.0 / (1.0 + np.exp(-z))
 
 
-def _relu(x):
-    return np.maximum(x, 0.0)
-
-
-_ACTIVATIONS = {
-    "logistic": (_logistic, 0.25),
-    "relu": (_relu, 1.0),
-    "tanh": (np.tanh, 1.0),
-}
-
-
-@dataclass(frozen=True)
-class Activation:
-    """Componentwise scalar activation with its global Lipschitz constant."""
-
-    kind: str
-
-    def __post_init__(self):
-        if self.kind not in _ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.kind!r}; choose from {sorted(_ACTIVATIONS)}")
-
-    @property
-    def lipschitz(self) -> float:
-        return _ACTIVATIONS[self.kind][1]
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return _ACTIVATIONS[self.kind][0](np.asarray(x, dtype=float))
+# global Lipschitz constant of the logistic function, max Sigma' = Sigma'(0)
+LOGISTIC_LIPSCHITZ = 0.25
 
 
 @dataclass(frozen=True)
@@ -94,6 +74,10 @@ class NeuralTerm:
     def dim(self) -> int:
         return self.theta.size
 
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        """A Sigma(W x + theta) at each row of x, as an (n, d) array."""
+        return logistic(np.atleast_2d(x) @ self.W.T + self.theta) @ self.A.T
+
     def scaled(self, gain: float) -> "NeuralTerm":
         return NeuralTerm(self.A * gain, self.W, self.theta)
 
@@ -113,7 +97,6 @@ class NeuralField:
     """
 
     terms: tuple
-    activation: Activation
 
     def __post_init__(self):
         terms = tuple(self.terms)
@@ -139,7 +122,7 @@ class NeuralField:
             raise ValueError(f"points are {pts.shape[1]}-dimensional, field is {self.dim}")
         out = np.zeros_like(pts)
         for term in self.terms:
-            out += self.activation(pts @ term.W.T + term.theta) @ term.A.T
+            out += term(pts)
         return out[0] if single else out
 
     def velocity(self, t: float, x: np.ndarray) -> np.ndarray:
@@ -147,15 +130,15 @@ class NeuralField:
 
     def lipschitz_bound(self) -> float:
         """sum_i ||A_i||_2 ||W_i||_2 K_sigma, a global Lipschitz constant."""
-        k = self.activation.lipschitz
         return float(
             sum(
-                np.linalg.norm(t.A, 2) * np.linalg.norm(t.W, 2) * k for t in self.terms
+                np.linalg.norm(t.A, 2) * np.linalg.norm(t.W, 2) * LOGISTIC_LIPSCHITZ
+                for t in self.terms
             )
         )
 
     def gain_total(self) -> float:
-        """sum_i ||A_i||_2; with a [0,1]-valued activation, |field| <= sqrt(d) * this."""
+        """sum_i ||A_i||_2; the logistic is [0,1]-valued, so |field| <= sqrt(d) * this."""
         return float(sum(np.linalg.norm(t.A, 2) for t in self.terms))
 
 
@@ -209,13 +192,12 @@ def estimate_bounds(
 ) -> BoundEstimate:
     """Sampled lower bounds on the sup norm C and Lipschitz constant K.
 
-    Evaluates the field at ``t_samples`` times spanning [0, T] and ``x_samples``
-    points drawn uniformly from the region; C_hat is the largest speed seen and
-    K_hat the largest pairwise difference quotient.
+    Evaluates the field at ``t_samples`` times spanning [0, vf.horizon] and
+    ``x_samples`` points drawn uniformly from the region; C_hat is the largest
+    speed seen and K_hat the largest pairwise difference quotient.
     """
     if t_samples < 2 or x_samples < 2:
         raise ValueError("estimate_bounds needs at least 2 samples per axis")
-    horizon = getattr(vf, "horizon", 1.0)
     rng = np.random.default_rng(seed)
     pts = region.sample(rng, x_samples)
     dists = squareform(pdist(pts))
@@ -223,7 +205,7 @@ def estimate_bounds(
     dists[dists == 0.0] = np.inf
     c_hat = 0.0
     k_hat = 0.0
-    for t in np.linspace(0.0, horizon, t_samples):
+    for t in np.linspace(0.0, vf.horizon, t_samples):
         vel = vf.velocity(float(t), pts)
         c_hat = max(c_hat, float(np.max(np.linalg.norm(vel, axis=1))))
         vel_diff = squareform(pdist(vel))
@@ -396,20 +378,21 @@ def _shear_spec(params: Mapping) -> VectorFieldSpec:
 
 
 def _neural_static_spec(params: Mapping) -> VectorFieldSpec:
-    nf = NeuralField(
-        tuple(NeuralTerm.from_dict(t) for t in params["terms"]),
-        Activation(params.get("activation", "logistic")),
-    )
+    activation = params.get("activation", "logistic")
+    if activation != "logistic":
+        raise ValueError(f"neural-static terms are logistic, got activation {activation!r}")
+    nf = NeuralField(tuple(NeuralTerm.from_dict(t) for t in params["terms"]))
     radius = float(params.get("radius", 2.0))
     horizon = float(params.get("horizon", 1.0))
     region = Region("ball", np.zeros(nf.dim), np.array([radius]))
-    # C declared from a dense sampled estimate with headroom; over-declaring
-    # is safe (it only enlarges downstream fitting regions), while an
-    # understatement would be rejected by construction-time validation
-    est = estimate_bounds(nf, region, t_samples=2, x_samples=256, seed=0)
+    # C declared from the largest speed at 256 sampled points with headroom;
+    # over-declaring is safe (it only enlarges downstream fitting regions),
+    # while an understatement would be rejected by construction-time validation
+    pts = region.sample(np.random.default_rng(0), 256)
+    c_hat = float(np.max(np.linalg.norm(nf(pts), axis=1)))
     return VectorFieldSpec(
         nf.velocity,
-        bound_C=est.C_hat * 1.25 + 1e-9,
+        bound_C=c_hat * 1.25 + 1e-9,
         lipschitz_K=nf.lipschitz_bound(),
         horizon=horizon,
         dim=nf.dim,
@@ -417,7 +400,7 @@ def _neural_static_spec(params: Mapping) -> VectorFieldSpec:
         name="neural-static",
         params={
             "terms": [t.to_dict() for t in nf.terms],
-            "activation": nf.activation.kind,
+            "activation": activation,
             "radius": radius,
             "horizon": horizon,
         },

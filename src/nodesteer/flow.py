@@ -175,9 +175,8 @@ def integrate_flow(vf, mu0: ParticleEnsemble, cfg: IntegratorConfig) -> MeasureT
     """Push mu0 forward along the field, recording snapshots at cfg.snap_times."""
     snaps_req = cfg.snap_times
     t_end = float(snaps_req[-1])
-    horizon = getattr(vf, "horizon", None)
-    if horizon is not None and horizon < t_end - 1e-12:
-        raise ValueError(f"field horizon {horizon} < final snap time {t_end}")
+    if vf.horizon < t_end - 1e-12:
+        raise ValueError(f"field horizon {vf.horizon} < final snap time {t_end}")
     dim = getattr(vf, "dim", None)
     if dim and mu0.dim != dim:
         raise ValueError(f"ensemble is {mu0.dim}-dimensional, field is {dim}")

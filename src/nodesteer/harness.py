@@ -228,11 +228,18 @@ class ExperimentConfig:
                 raise ConfigError("smoothing must be positive")
             if cfg.snap_count < 2:
                 raise ConfigError("snap_count must be >= 2")
-            # Checks the synthesis knobs and the integrator now, so a bad value
-            # fails the parse instead of every row.
+            # Checks the synthesis knobs, the integrator and a trajectory
+            # config's field now, so a bad value fails the parse instead of
+            # every row or the sweep after its output directory exists.
             for coords in cfg.sweep_points():
                 cfg.synthesis_params(coords)
             cfg.integrator(1.0)
+            if kind == "trajectory":
+                horizon = benchmark_field(field_name, field_params).horizon
+                if cfg.snap_times is not None and cfg.snap_times[-1] > horizon + 1e-12:
+                    raise ConfigError(
+                        f"snap_times end at {cfg.snap_times[-1]}, past the field's horizon {horizon}"
+                    )
             return cfg
         except ConfigError:
             raise
@@ -432,16 +439,15 @@ def _write_json(path: Path, obj) -> None:
     _atomic_write(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _prepare_shared(cfg: ExperimentConfig, out_dir: Path) -> tuple:
-    """Build the inputs, integrate the reference, and write both; returns (inputs, reference)."""
-    inputs = cfg.build_inputs()
+def _prepare_shared(cfg: ExperimentConfig, out_dir: Path, inputs: tuple) -> MeasureTrajectory:
+    """Integrate the reference from the built inputs and write both; returns the reference."""
     mu0, muf, vf = inputs
     reference = integrate_flow(vf, mu0, cfg.integrator(vf.horizon))
     _atomic_write(out_dir / "mu0.csv", mu0.to_csv())
     if muf is not None:
         _atomic_write(out_dir / "muf.csv", muf.to_csv())
     reference.save(out_dir / "reference")
-    return inputs, reference
+    return reference
 
 
 class _FitMemo:
@@ -623,17 +629,18 @@ def _run_experiment(cfg: ExperimentConfig, kind: str, out_dir, parallel: int, re
     fits of different keys may run at the same time; otherwise rows run in
     order on the calling thread. With ``resume``, a row computed under the
     same config (see :func:`_config_fingerprint`) whose artifacts remain is
-    kept as is. A config of another kind, or ``parallel`` below 1, fails
-    before anything is written.
+    kept as is. A config of another kind, ``parallel`` below 1, or inputs
+    that fail to build fail before anything is written.
     """
     if cfg.kind != kind:
         raise ConfigError(f"{kind} sweep got a {cfg.kind!r} config")
     if parallel < 1:
         raise ConfigError(f"parallel must be at least 1, got {parallel}")
+    inputs = cfg.build_inputs()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "rows").mkdir(exist_ok=True)
-    inputs, reference = _prepare_shared(cfg, out_dir)
+    reference = _prepare_shared(cfg, out_dir, inputs)
 
     points = cfg.sweep_points()
     fingerprint = _config_fingerprint(cfg)

@@ -8,8 +8,11 @@ solve whose scale, ridge weight and grid are fixed constants; it depends on
 nothing but its inputs. The schedule stage (:func:`schedule_windows`)
 switches each fitted superposition in a periodic oscillation whose
 period-mean reproduces it exactly. Only the schedule stage reads the period
-count n_osc, so one fit serves every n_osc. A displacement-interpolation
-target builder covers the steering problem between two given ensembles.
+count n_osc, so one fit serves every n_osc. A schedule's pieces are single
+logistic terms (:class:`~nodesteer.fields.NeuralTerm`), so ``schedule.json``
+records ``"activation": "logistic"`` and loading accepts no other value. A
+displacement-interpolation target builder covers the steering problem between
+two given ensembles.
 """
 
 from __future__ import annotations
@@ -22,11 +25,11 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .fields import (
-    Activation,
     NeuralField,
     NeuralTerm,
     PiecewiseConstField,
     VectorFieldSpec,
+    logistic,
 )
 from .measures import ParticleEnsemble, Region, support_radius
 from .transport import w2_exact
@@ -40,16 +43,16 @@ class ControlSchedule(PiecewiseConstField):
     """Piecewise-constant weights: one (A, W, theta) triple active per piece.
 
     Evaluation at (t, x) with active piece (A, W, theta) is A Sigma(W x + theta),
-    so the schedule is an admissible neural-ODE right-hand side by construction.
+    the piece's own call, so the schedule is an admissible neural-ODE
+    right-hand side by construction.
     """
 
-    def __init__(self, breakpoints: Sequence[float], pieces: Sequence[NeuralTerm], activation: Activation):
+    def __init__(self, breakpoints: Sequence[float], pieces: Sequence[NeuralTerm]):
         super().__init__(breakpoints, pieces)
         if not all(isinstance(p, NeuralTerm) for p in self.pieces):
             raise ValueError("every schedule piece must be a single NeuralTerm")
         if any(p.dim != self.pieces[0].dim for p in self.pieces):
             raise ValueError("all pieces must share one dimension")
-        self.activation = activation
 
     @property
     def dim(self) -> int:
@@ -59,18 +62,9 @@ class ControlSchedule(PiecewiseConstField):
     def piece_count(self) -> int:
         return len(self.pieces)
 
-    def static_piece(self, j: int) -> Callable[[np.ndarray], np.ndarray]:
-        term = self.pieces[j]
-        act = self.activation
-
-        def piece(x: np.ndarray) -> np.ndarray:
-            return act(np.atleast_2d(x) @ term.W.T + term.theta) @ term.A.T
-
-        return piece
-
     def to_json_dict(self) -> dict:
         return {
-            "activation": self.activation.kind,
+            "activation": "logistic",
             "breakpoints": self.breakpoints.tolist(),
             "pieces": [p.to_dict() for p in self.pieces],
         }
@@ -80,10 +74,11 @@ class ControlSchedule(PiecewiseConstField):
 
     @staticmethod
     def from_json_dict(d: Mapping) -> "ControlSchedule":
+        if d["activation"] != "logistic":
+            raise ValueError(f"schedule pieces are logistic, got activation {d['activation']!r}")
         return ControlSchedule(
             np.asarray(d["breakpoints"], dtype=float),
             [NeuralTerm.from_dict(p) for p in d["pieces"]],
-            Activation(d["activation"]),
         )
 
     @staticmethod
@@ -176,10 +171,9 @@ def time_average(vf: VectorFieldSpec, N: int) -> PiecewiseConstField:
 
 _DEFAULT_GRID_PER_AXIS = {1: 256, 2: 32, 3: 12}
 # random-feature fit constants: feature directions at FEATURE_SCALE / (region
-# radius), ridge weight RIDGE per training point, logistic activation
+# radius), ridge weight RIDGE per training point
 FEATURE_SCALE = 4.0
 RIDGE = 1e-9
-ACTIVATION = Activation("logistic")
 
 
 def _grid_per_axis(dim: int) -> int:
@@ -214,7 +208,7 @@ def _feature_matrix(x: np.ndarray, Ws: np.ndarray, thetas: np.ndarray) -> np.nda
     n, d = x.shape
     m = Ws.shape[0]
     z = np.einsum("nk,mjk->nmj", x, Ws) + thetas[None, :, :]
-    return ACTIVATION(z).reshape(n, m * d)
+    return logistic(z).reshape(n, m * d)
 
 
 def _sup_error(
@@ -274,9 +268,7 @@ def fit_superposition(
     B = np.linalg.solve(gram, phi.T @ targets)
     As = B.reshape(m, d, d).transpose(0, 2, 1)
 
-    nf = NeuralField(
-        tuple(NeuralTerm(As[i], Ws[i], thetas[i]) for i in range(m)), ACTIVATION
-    )
+    nf = NeuralField(tuple(NeuralTerm(As[i], Ws[i], thetas[i]) for i in range(m)))
     err = _sup_error(target, nf, validation)
     return SuperpositionFit(
         field=nf,
@@ -306,7 +298,7 @@ def oscillation_schedule(nf: NeuralField, window, N: int) -> ControlSchedule:
         raise ValueError("period count N must be >= 1")
     m = nf.width
     scaled = [term.scaled(float(m)) for term in nf.terms]
-    return ControlSchedule(np.linspace(t_a, t_b, m * N + 1), scaled * N, nf.activation)
+    return ControlSchedule(np.linspace(t_a, t_b, m * N + 1), scaled * N)
 
 
 # -- full pipeline: the fit stage and the schedule stage ------------------------
@@ -317,7 +309,6 @@ class SynthesisReport:
     """Everything needed to audit one synthesis run."""
 
     params: SynthesisParams
-    activation: str
     support_radius: float
     region_R: float
     omega_radius: float
@@ -330,7 +321,7 @@ class SynthesisReport:
     def to_json_dict(self) -> dict:
         return {
             "params": self.params.to_dict(),
-            "activation": self.activation,
+            "activation": "logistic",
             "support_radius": self.support_radius,
             "region_R": self.region_R,
             "omega_radius": self.omega_radius,
@@ -413,11 +404,7 @@ def fit_windows(
         windows.append((float(averaged.breakpoints[w]), float(averaged.breakpoints[w + 1])))
         target = averaged.static_piece(w)
         # a window target that is already admissible warm-starts with its own terms
-        admissible = (
-            isinstance(target, NeuralField)
-            and target.width <= params.m_width
-            and target.activation == ACTIVATION
-        )
+        admissible = isinstance(target, NeuralField) and target.width <= params.m_width
         fits.append(
             fit_superposition(
                 target, omega, params.m_width, delta, seeds[w], target.terms if admissible else None
@@ -443,7 +430,6 @@ def schedule_windows(fits: WindowFits, params: SynthesisParams) -> SynthesisResu
             window_schedule = ControlSchedule(
                 np.array([a, b]),
                 [NeuralTerm(np.zeros((d, d)), np.eye(d), np.zeros(d))],
-                ACTIVATION,
             )
         else:
             window_schedule = oscillation_schedule(fit.field, (a, b), params.n_osc)
@@ -451,10 +437,9 @@ def schedule_windows(fits: WindowFits, params: SynthesisParams) -> SynthesisResu
         all_pieces.extend(window_schedule.pieces)
         window_fits.append({"window": [a, b], **fit.to_dict()})
 
-    schedule = ControlSchedule(np.asarray(all_breakpoints), all_pieces, ACTIVATION)
+    schedule = ControlSchedule(np.asarray(all_breakpoints), all_pieces)
     report = SynthesisReport(
         params=params,
-        activation=ACTIVATION.kind,
         support_radius=fits.support_radius,
         region_R=fits.region_R,
         omega_radius=fits.region_R + fits.support_radius,

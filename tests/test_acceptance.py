@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nodesteer.fields import NeuralTerm, NeuralField, Activation, benchmark_field
+from nodesteer.fields import NeuralTerm, NeuralField, benchmark_field
 from nodesteer.flow import (
     IntegratorConfig,
     integrate_flow,
@@ -88,7 +88,7 @@ def test_criterion_2_period_mean_identity():
             NeuralTerm(rng.normal(size=(d, d)), rng.normal(size=(d, d)), rng.normal(size=d))
             for _ in range(m)
         )
-        nf = NeuralField(terms, Activation("logistic"))
+        nf = NeuralField(terms)
         sched = oscillation_schedule(nf, (0.0, 1.0), periods)
         probes = rng.uniform(-2.0, 2.0, size=(20, d))
         expected = nf(probes)

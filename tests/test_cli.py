@@ -92,6 +92,20 @@ class TestSimulate:
         cfg = _write(tmp_path, "cfg.json", payload)
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_ALL_FAILED
 
+    def test_non_logistic_schedule_writes_nothing(self, tmp_path, capsys):
+        cfg = _write(tmp_path, "cfg.json", _trajectory_payload())
+        sched_dir = tmp_path / "sched"
+        assert main(["synthesize", "--config", cfg, "--out", str(sched_dir)]) == EXIT_OK
+        sched = json.loads((sched_dir / "schedule.json").read_text())
+        sched["activation"] = "relu"
+        (sched_dir / "schedule.json").write_text(json.dumps(sched))
+        cfg2 = _write(tmp_path, "cfg2.json", _trajectory_payload(schedule=str(sched_dir / "schedule.json")))
+        out = tmp_path / "replay"
+        capsys.readouterr()
+        assert main(["simulate", "--config", cfg2, "--out", str(out)]) == EXIT_ALL_FAILED
+        assert "'relu'" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCompare:
     def test_reports_errors(self, tmp_path, capsys):
@@ -234,6 +248,21 @@ class TestConfigErrors:
             pytest.param("smoothing", float("inf"), id="smoothing-inf"),
             pytest.param("synthesis", {"fit_tolerance": float("inf")}, id="fit-tolerance-inf"),
             pytest.param("integrator", {"snap_times": [0.0, float("inf")]}, id="snap-times-inf"),
+            pytest.param("field", {"name": "vortex-street", "params": {}}, id="field-unknown-name"),
+            pytest.param("field", {"name": "rotation", "params": {}}, id="field-missing-param"),
+            pytest.param("field", {"name": "rotation", "params": {"omega": "fast"}}, id="field-param-string"),
+            pytest.param("integrator", {"snap_times": [0, 0.5, 2.0]}, id="snap-times-past-horizon"),
+            pytest.param(
+                "field",
+                {
+                    "name": "neural-static",
+                    "params": {
+                        "terms": [{"A": [[0.1, 0.0], [0.0, 0.1]], "W": [[1.0, 0.0], [0.0, 1.0]], "theta": [0.0, 0.0]}],
+                        "activation": "relu",
+                    },
+                },
+                id="field-neural-static-relu",
+            ),
         ],
     )
     def test_bad_integrator_rejected_at_parse(self, section, entries, tmp_path):
@@ -241,9 +270,18 @@ class TestConfigErrors:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(payload)
         cfg = _write(tmp_path, "cfg.json", payload)
-        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "sweep")]) == EXIT_CONFIG
+        sweep_out = tmp_path / "sweep"
+        assert main(["sweep", "--config", cfg, "--out", str(sweep_out)]) == EXIT_CONFIG
+        assert not sweep_out.exists()
         out = tmp_path / "synth"
         assert main(["synthesize", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, payload", [("sweep", _trajectory_payload), ("endpoint", _endpoint_payload)])
+    def test_unknown_measure_kind_writes_nothing(self, command, payload, tmp_path):
+        cfg = _write(tmp_path, "cfg.json", payload(initial_measure={"kind": "blob", "params": {}}))
+        out = tmp_path / "o"
+        assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
         assert not out.exists()
 
     @pytest.mark.parametrize(

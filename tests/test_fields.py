@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from nodesteer.fields import (
-    Activation,
+    LOGISTIC_LIPSCHITZ,
     BoundDeclarationError,
     NeuralField,
     NeuralTerm,
@@ -11,29 +11,15 @@ from nodesteer.fields import (
     VectorFieldSpec,
     benchmark_field,
     estimate_bounds,
+    logistic,
 )
 
 
 class TestActivation:
     def test_logistic_values(self):
-        act = Activation("logistic")
-        assert act(0.0) == 0.5
-        assert act(np.array([100.0])) == pytest.approx(1.0)
-        assert act.lipschitz == 0.25
-
-    def test_relu(self):
-        act = Activation("relu")
-        assert np.array_equal(act(np.array([-1.0, 0.0, 2.0])), [0.0, 0.0, 2.0])
-        assert act.lipschitz == 1.0
-
-    def test_tanh(self):
-        act = Activation("tanh")
-        assert act(0.0) == 0.0
-        assert act.lipschitz == 1.0
-
-    def test_unknown(self):
-        with pytest.raises(ValueError):
-            Activation("swish")
+        assert logistic(0.0) == 0.5
+        assert logistic(np.array([100.0])) == pytest.approx(1.0)
+        assert LOGISTIC_LIPSCHITZ == 0.25
 
 
 class TestNeuralTerm:
@@ -59,42 +45,47 @@ class TestNeuralTerm:
         assert np.array_equal(back.W, term.W)
         assert np.array_equal(back.theta, term.theta)
 
+    def test_call_is_the_single_term_field(self):
+        rng = np.random.default_rng(3)
+        term = NeuralTerm(rng.normal(size=(2, 2)), rng.normal(size=(2, 2)), rng.normal(size=2))
+        field = NeuralField((term,))
+        x = rng.normal(size=(9, 2))
+        assert term(x).shape == (9, 2)
+        assert np.array_equal(term(x), field(x))
+        # a single point evaluates as a one-row batch
+        assert term(x[0]).shape == (1, 2)
+        assert np.array_equal(term(x[0])[0], field(x[0]))
+
 
 class TestNeuralField:
     def test_single_term_hand_value(self):
         # A = I, W = I, theta = 0 at x = 0: logistic(0) = 0.5 per coordinate
-        field = NeuralField((NeuralTerm(np.eye(2), np.eye(2), np.zeros(2)),), Activation("logistic"))
+        field = NeuralField((NeuralTerm(np.eye(2), np.eye(2), np.zeros(2)),))
         assert np.array_equal(field(np.zeros(2)), [0.5, 0.5])
-
-    def test_relu_identity_on_positive_orthant(self):
-        field = NeuralField((NeuralTerm(np.eye(2), np.eye(2), np.zeros(2)),), Activation("relu"))
-        x = np.array([[0.3, 1.7], [2.0, 0.1]])
-        assert np.array_equal(field(x), x)
 
     def test_superposition_additivity(self):
         rng = np.random.default_rng(0)
         t1 = NeuralTerm(rng.normal(size=(2, 2)), rng.normal(size=(2, 2)), rng.normal(size=2))
         t2 = NeuralTerm(rng.normal(size=(2, 2)), rng.normal(size=(2, 2)), rng.normal(size=2))
-        act = Activation("tanh")
         x = rng.normal(size=(7, 2))
-        combined = NeuralField((t1, t2), act)(x)
-        split = NeuralField((t1,), act)(x) + NeuralField((t2,), act)(x)
+        combined = NeuralField((t1, t2))(x)
+        split = NeuralField((t1,))(x) + NeuralField((t2,))(x)
         assert np.allclose(combined, split, atol=1e-15)
 
     def test_zero_field_needs_dim(self):
         with pytest.raises(ValueError):
-            NeuralField((), Activation("logistic"))
+            NeuralField(())
 
     def test_dim_mismatch_terms(self):
         t1 = NeuralTerm(np.eye(2), np.eye(2), np.zeros(2))
         t2 = NeuralTerm(np.eye(3), np.eye(3), np.zeros(3))
         with pytest.raises(ValueError):
-            NeuralField((t1, t2), Activation("logistic"))
+            NeuralField((t1, t2))
 
     def test_lipschitz_bound_hand_value(self):
         # single diagonal term: ||A|| ||W|| K = 2 * 3 * 0.25
         term = NeuralTerm(2.0 * np.eye(2), 3.0 * np.eye(2), np.zeros(2))
-        field = NeuralField((term,), Activation("logistic"))
+        field = NeuralField((term,))
         assert field.lipschitz_bound() == pytest.approx(1.5, abs=1e-12)
 
     def test_lipschitz_bound_holds_empirically(self):
@@ -103,7 +94,7 @@ class TestNeuralField:
             NeuralTerm(rng.normal(size=(2, 2)), rng.normal(size=(2, 2)), rng.normal(size=2))
             for _ in range(4)
         )
-        field = NeuralField(terms, Activation("logistic"))
+        field = NeuralField(terms)
         x = rng.uniform(-3, 3, size=(200, 2))
         y = rng.uniform(-3, 3, size=(200, 2))
         lhs = np.linalg.norm(field(x) - field(y), axis=1)
@@ -239,7 +230,7 @@ class TestBenchmarks:
     def test_neural_static_matches_superposition(self):
         term = NeuralTerm([[0.4, 0.0], [0.0, 0.4]], [[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0])
         vf = benchmark_field("neural-static", {"terms": [term.to_dict()]})
-        nf = NeuralField((term,), Activation("logistic"))
+        nf = NeuralField((term,))
         x = np.random.default_rng(0).uniform(-2, 2, size=(20, 2))
         assert np.array_equal(vf.velocity(0.3, x), nf(x))
         assert vf.static_superposition is nf or np.array_equal(
@@ -253,3 +244,21 @@ class TestBenchmarks:
     def test_missing_param(self):
         with pytest.raises(ValueError):
             benchmark_field("rotation", {})
+
+    def test_neural_static_takes_only_logistic(self):
+        terms = [NeuralTerm(np.eye(2), np.eye(2), np.zeros(2)).to_dict()]
+        vf = benchmark_field("neural-static", {"terms": terms, "activation": "logistic"})
+        assert vf.params["activation"] == "logistic"
+        with pytest.raises(ValueError, match="'relu'"):
+            benchmark_field("neural-static", {"terms": terms, "activation": "relu"})
+
+    def test_neural_static_bound_from_sampled_speeds(self):
+        # C is 1.25 x the largest speed at the 256 points estimate_bounds draws
+        rng = np.random.default_rng(4)
+        terms = [
+            NeuralTerm(rng.normal(size=(2, 2)), rng.normal(size=(2, 2)), rng.normal(size=2)).to_dict()
+            for _ in range(3)
+        ]
+        vf = benchmark_field("neural-static", {"terms": terms})
+        est = estimate_bounds(vf, vf.region, t_samples=2, x_samples=256, seed=0)
+        assert vf.bound_C == est.C_hat * 1.25 + 1e-9

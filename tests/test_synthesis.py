@@ -5,7 +5,6 @@ import pytest
 from scipy.spatial.distance import cdist
 
 from nodesteer.fields import (
-    Activation,
     NeuralField,
     NeuralTerm,
     Region,
@@ -38,25 +37,25 @@ def _rotation_target(p):
 class TestControlSchedule:
     def _schedule(self):
         rng = np.random.default_rng(0)
-        return ControlSchedule([0.0, 0.5, 1.0], [_term(rng), _term(rng)], Activation("logistic"))
+        return ControlSchedule([0.0, 0.5, 1.0], [_term(rng), _term(rng)])
 
     def test_piece_evaluation_matches_single_term_field(self):
         sched = self._schedule()
         x = np.random.default_rng(1).normal(size=(6, 2))
         for j, t in [(0, 0.2), (1, 0.7)]:
-            single = NeuralField((sched.pieces[j],), sched.activation)
+            single = NeuralField((sched.pieces[j],))
             assert np.array_equal(sched.velocity(t, x), single(x))
 
     def test_piece_count_mismatch(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
-            ControlSchedule([0.0, 1.0], [_term(rng), _term(rng)], Activation("logistic"))
+            ControlSchedule([0.0, 1.0], [_term(rng), _term(rng)])
 
     def test_pieces_must_be_single_terms(self):
         rng = np.random.default_rng(0)
-        nf = NeuralField((_term(rng),), Activation("logistic"))
+        nf = NeuralField((_term(rng),))
         with pytest.raises(ValueError):
-            ControlSchedule([0.0, 1.0], [nf], Activation("logistic"))
+            ControlSchedule([0.0, 1.0], [nf])
 
     def test_out_of_range_time(self):
         sched = self._schedule()
@@ -69,12 +68,18 @@ class TestControlSchedule:
         assert np.array_equal(back.breakpoints, sched.breakpoints)
         x = np.random.default_rng(2).normal(size=(4, 2))
         assert np.array_equal(back.velocity(0.3, x), sched.velocity(0.3, x))
-        assert back.activation == sched.activation
 
     def test_json_fields(self):
         d = json.loads(self._schedule().to_json())
         assert set(d) == {"activation", "breakpoints", "pieces"}
         assert set(d["pieces"][0]) == {"A", "W", "theta"}
+        assert d["activation"] == "logistic"
+
+    def test_json_other_activation_rejected(self):
+        d = json.loads(self._schedule().to_json())
+        d["activation"] = "relu"
+        with pytest.raises(ValueError, match="'relu'"):
+            ControlSchedule.from_json(json.dumps(d))
 
 
 class TestSynthesisParams:
@@ -164,7 +169,7 @@ class TestFitSuperposition:
     def test_self_representation_with_seeded_term(self):
         rng = np.random.default_rng(3)
         term = _term(rng)
-        g = NeuralField((term,), Activation("logistic"))
+        g = NeuralField((term,))
         region = Region("ball", np.zeros(2), 2.0)
         fit = fit_superposition(g, region, 1, 1e-6, seed=5, init_terms=[term])
         assert fit.sup_error <= 1e-6
@@ -212,7 +217,7 @@ class TestFitSuperposition:
 class TestOscillationSchedule:
     def test_piece_count_and_equal_lengths(self):
         rng = np.random.default_rng(0)
-        nf = NeuralField(tuple(_term(rng) for _ in range(3)), Activation("logistic"))
+        nf = NeuralField(tuple(_term(rng) for _ in range(3)))
         sched = oscillation_schedule(nf, (0.0, 1.0), 5)
         assert sched.piece_count == 15
         lengths = np.diff(sched.breakpoints)
@@ -220,7 +225,7 @@ class TestOscillationSchedule:
 
     def test_periods_share_the_scaled_terms(self):
         rng = np.random.default_rng(0)
-        nf = NeuralField(tuple(_term(rng) for _ in range(3)), Activation("logistic"))
+        nf = NeuralField(tuple(_term(rng) for _ in range(3)))
         sched = oscillation_schedule(nf, (0.0, 1.0), 4)
         assert all(sched.pieces[j] is sched.pieces[j + 3] for j in range(9))
         assert len({id(p) for p in sched.pieces}) == 3
@@ -230,7 +235,7 @@ class TestOscillationSchedule:
     def test_single_term_oscillation_is_constant(self):
         rng = np.random.default_rng(1)
         term = _term(rng)
-        nf = NeuralField((term,), Activation("logistic"))
+        nf = NeuralField((term,))
         sched = oscillation_schedule(nf, (0.0, 1.0), 4)
         assert sched.piece_count == 4
         x = rng.normal(size=(5, 2))
@@ -241,7 +246,7 @@ class TestOscillationSchedule:
         # pieces are (2 A1, W1, th1) on [0, 1/2) and (2 A2, W2, th2) on [1/2, 1)
         rng = np.random.default_rng(2)
         t1, t2 = _term(rng), _term(rng)
-        nf = NeuralField((t1, t2), Activation("logistic"))
+        nf = NeuralField((t1, t2))
         sched = oscillation_schedule(nf, (0.0, 1.0), 1)
         assert np.array_equal(sched.breakpoints, [0.0, 0.5, 1.0])
         assert np.array_equal(sched.pieces[0].A, 2.0 * t1.A)
@@ -252,7 +257,7 @@ class TestOscillationSchedule:
     def test_period_mean_identity(self):
         # direct summation over the 6 pieces of an m = 3, N = 2 schedule
         rng = np.random.default_rng(4)
-        nf = NeuralField(tuple(_term(rng) for _ in range(3)), Activation("logistic"))
+        nf = NeuralField(tuple(_term(rng) for _ in range(3)))
         sched = oscillation_schedule(nf, (0.0, 1.0), 2)
         probes = rng.uniform(-2, 2, size=(20, 2))
         bp = sched.breakpoints
@@ -266,7 +271,7 @@ class TestOscillationSchedule:
 
     def test_empty_window_rejected(self):
         rng = np.random.default_rng(0)
-        nf = NeuralField((_term(rng),), Activation("logistic"))
+        nf = NeuralField((_term(rng),))
         with pytest.raises(ValueError):
             oscillation_schedule(nf, (1.0, 1.0), 1)
 
