@@ -32,17 +32,18 @@ config = {
 }
 
 cfg = ExperimentConfig.from_dict(config)
-out = Path(tempfile.mkdtemp(prefix="nodesteer-sweep-"))
-table = run_trajectory_experiment(cfg, out)
+with tempfile.TemporaryDirectory(prefix="nodesteer-sweep-") as tmp:
+    out = Path(tmp)
+    table = run_trajectory_experiment(cfg, out)
 
-print((out / "results.csv").read_text())
+    print((out / "results.csv").read_text())
 
-# one plot series per fixed (n_avg, m) pair, n_osc on the x axis
-for path in emit_plot_data(table):
-    print(f"-- {path.name}")
-    print(path.read_text())
+    # one plot series per fixed (n_avg, m) pair, n_osc on the x axis
+    for path in emit_plot_data(table):
+        print(f"-- {path.name}")
+        print(path.read_text())
 
-manifest = json.loads((out / "manifest.json").read_text())
-n_files = sum(len(entry["files"]) for entry in manifest["rows"].values())
-print(f"artifacts under {out}: {n_files} row files, reference trajectory, mu0.csv")
-print("rerunning with resume=True reuses every completed row; a second run is byte-identical")
+    manifest = json.loads((out / "manifest.json").read_text())
+    n_files = sum(len(entry["files"]) for entry in manifest["rows"].values())
+    print(f"artifacts under {out}: {n_files} row files, reference trajectory, mu0.csv")
+    print("rerunning with resume=True reuses every completed row; a second run is byte-identical")

@@ -40,6 +40,7 @@ from .fields import benchmark_field
 from .flow import IntegratorConfig, MeasureTrajectory, integrate_flow, support_growth_check
 from .measures import RNG_ALGORITHM, MeasureSpec, ParticleEnsemble, sample_measure
 from .synthesis import (
+    DISPLACEMENT_HORIZON,
     SynthesisParams,
     WindowFits,
     _check_piece_cap,
@@ -228,18 +229,22 @@ class ExperimentConfig:
                 raise ConfigError("smoothing must be positive")
             if cfg.snap_count < 2:
                 raise ConfigError("snap_count must be >= 2")
-            # Checks the synthesis knobs, the integrator and a trajectory
-            # config's field now, so a bad value fails the parse instead of
-            # every row or the sweep after its output directory exists.
+            # Checks the synthesis knobs, the integrator, a trajectory
+            # config's field and the snap times against the field's horizon
+            # now, so a bad value fails the parse instead of every row or the
+            # sweep after its output directory exists.
             for coords in cfg.sweep_points():
                 cfg.synthesis_params(coords)
             cfg.integrator(1.0)
-            if kind == "trajectory":
-                horizon = benchmark_field(field_name, field_params).horizon
-                if cfg.snap_times is not None and cfg.snap_times[-1] > horizon + 1e-12:
-                    raise ConfigError(
-                        f"snap_times end at {cfg.snap_times[-1]}, past the field's horizon {horizon}"
-                    )
+            horizon = (
+                benchmark_field(field_name, field_params).horizon
+                if kind == "trajectory"
+                else DISPLACEMENT_HORIZON
+            )
+            if cfg.snap_times is not None and cfg.snap_times[-1] > horizon + 1e-12:
+                raise ConfigError(
+                    f"snap_times end at {cfg.snap_times[-1]}, past the field's horizon {horizon}"
+                )
             return cfg
         except ConfigError:
             raise

@@ -469,6 +469,10 @@ def synthesize_controls(
 # -- steering target from two ensembles ------------------------------------------
 
 
+# the displacement field carries mu0 to muf over [0, DISPLACEMENT_HORIZON]
+DISPLACEMENT_HORIZON = 1.0
+
+
 def displacement_target_field(
     mu0: ParticleEnsemble, muf: ParticleEnsemble, smoothing: float
 ) -> VectorFieldSpec:
@@ -523,7 +527,7 @@ def displacement_target_field(
         evaluator,
         bound_C=max_move,
         lipschitz_K=lipschitz_k,
-        horizon=1.0,
+        horizon=DISPLACEMENT_HORIZON,
         dim=mu0.dim,
         region=region,
         name="displacement-interpolation",

@@ -2,24 +2,30 @@
 
 For two n-point equal-weight measures an optimal transport plan is induced by
 a permutation, so W2 reduces to a linear assignment problem on the squared
-Euclidean cost matrix C_ij = |x_i - y_j|^2. `w2_exact` first tries to certify
-the identity coupling x_i -> y_i, the one a labelled flow pushes forward, and
-calls scipy's O(n^3) assignment solver only when that fails; `w2_bruteforce`
-enumerates all n! permutations and is the testing oracle for small n.
+Euclidean cost matrix C_ij = |x_i - y_j|^2. `w2_exact` starts from the
+identity coupling x_i -> y_i, the one a labelled flow pushes forward, cancels
+negative cycles from it until dual potentials certify the permutation it
+holds, and calls scipy's O(n^3) assignment solver only when that fails;
+`w2_bruteforce` enumerates all n! permutations and is the testing oracle for
+small n.
 
-The certificate is a vector of dual potentials p with
-p_i + C_ij >= p_j + C_jj - eps for every i and j. Summed along any
-permutation the potentials telescope, so a certified identity's normalized
-cost is at most the optimum + eps, where eps is `_EPS_REL` times that cost.
-The potentials are shortest-path distances for the reduced costs
-C_ij - C_jj, found by Bellman-Ford rounds on a sparse graph whose edges into
-target j come from the `_NEIGHBOURS` sources nearest x_j: the tight
-constraints of a near-identity map are short hops. A cycle among the
-Bellman-Ford predecessors is a negative cycle, which proves the identity is
-not optimal, and sends the pair straight to the assignment solve. Otherwise
-the potentials are checked against every (i, j), a block of sources at a time;
-each violated target gains an edge from its worst source and relaxation
-resumes, and after `_DENSE_CHECKS` failed checks the assignment solve runs.
+The certificate for a permutation a is a vector of dual potentials p with
+p_i + C_ia(j) >= p_j + C_ja(j) - eps for every i and j. Summed along any
+permutation the potentials telescope, so a certified permutation's normalized
+cost is at most the optimum + eps, where eps is `_EPS_REL` times the
+identity's cost. The potentials are shortest-path distances for the reduced
+costs C_ia(j) - C_ja(j), found by Bellman-Ford rounds on a sparse graph whose
+edges into j come from the `_NEIGHBOURS` sources nearest x_j: a near-identity
+map's tight constraints and improving exchanges are short hops. A cycle among
+the Bellman-Ford predecessors is a negative cycle (Klein's cycle cancelling):
+its sources pass their targets round the cycle, which lowers the cost, the
+rotated rows' weights are rebuilt and relaxation resumes from the same
+potentials. Once relaxation settles the potentials are checked against every
+(i, j), a block of sources at a time; each violated target gains an edge
+from its worst source and relaxation resumes. The assignment solve runs after
+`_DENSE_CHECKS` failed checks, after n rounds without a cycle or convergence,
+or after more than `_CYCLES_PER_POINT` * n cancelled cycles, the cap that
+bounds the work on unrelated labels.
 
 `sup_w2` reports only the largest W2 over paired snapshots of two particle
 curves, so it solves only the snapshots that can hold it. Paired snapshots
@@ -45,13 +51,15 @@ from .measures import ParticleEnsemble
 
 BRUTEFORCE_MAX_N = 8
 
-# Identity certificate: sources per target in the sparse graph, the tolerance
-# eps as a share of the identity cost, Bellman-Ford rounds between cycle
-# checks, dense checks before giving up, and sources per block of a dense check.
+# Certificate: sources per target in the sparse graph, the tolerance eps as a
+# share of the identity cost, Bellman-Ford rounds between cycle checks, dense
+# checks and cancelled cycles per point before giving up, and sources per
+# block of a dense check.
 _NEIGHBOURS = 32
 _EPS_REL = 1e-12
 _CYCLE_CHECK_EVERY = 4
 _DENSE_CHECKS = 4
+_CYCLES_PER_POINT = 1
 _BLOCK_SOURCES = 256
 
 
@@ -82,8 +90,9 @@ class W2Result:
     """W2 distance, its coupling, and the path that found it.
 
     method is "identity" when the identity coupling was certified,
-    "assignment" when the assignment solver ran, and "bruteforce" for the
-    enumeration oracle.
+    "cancelled" when a permutation reached by cancelling negative cycles from
+    the identity was certified, "assignment" when the assignment solver ran,
+    and "bruteforce" for the enumeration oracle.
     """
 
     distance: float
@@ -112,17 +121,28 @@ def _identity_costs(mu: ParticleEnsemble, nu: ParticleEnsemble) -> tuple:
     return diag, float(diag.sum() / mu.n)
 
 
-def _has_cycle(pred: np.ndarray) -> bool:
-    """Whether the predecessor graph has a cycle; pred[j] == n marks a root.
+def _predecessor_cycles(pred: np.ndarray) -> tuple:
+    """(the nodes on cycles of the predecessor graph, the number of cycles).
 
-    Pointer doubling: after n.bit_length() squarings every node has walked
-    at least n + 1 steps, so a node off the root is on or behind a cycle.
+    pred[j] == n marks a root. Pointer doubling: after n.bit_length()
+    squarings every node has walked at least n + 1 steps, so a node off the
+    root has reached a cycle, and every cycle node is reached from the node
+    that many steps behind it. The cycles are then counted by the smallest
+    node on each, found by doubling again on the cycle nodes alone.
     """
     n = pred.size
     up = np.append(pred, n)
     for _ in range(n.bit_length()):
         up = up[up]
-    return bool((up[:n] != n).any())
+    on = np.zeros(n + 1, dtype=bool)
+    on[up[:n]] = True
+    nodes = np.flatnonzero(on[:n])
+    step = np.searchsorted(nodes, pred[nodes])
+    low = np.arange(nodes.size)
+    for _ in range(nodes.size.bit_length()):
+        low = np.minimum(low, low[step])
+        step = step[step]
+    return nodes, int((low == np.arange(nodes.size)).sum())
 
 
 def _dense_slack(x: np.ndarray, y: np.ndarray, p: np.ndarray, floor: np.ndarray) -> tuple:
@@ -146,26 +166,39 @@ def _dense_slack(x: np.ndarray, y: np.ndarray, p: np.ndarray, floor: np.ndarray)
     return slack, source
 
 
-def _identity_certified(x: np.ndarray, y: np.ndarray, diag: np.ndarray, eps: float) -> bool:
-    """Whether potentials p with p_i + C_ij >= p_j + C_jj - eps for all i, j were found.
+def _certified_permutation(
+    x: np.ndarray, y: np.ndarray, diag: np.ndarray, eps: float
+) -> np.ndarray | None:
+    """A permutation a with potentials p_i + C_ia(j) >= p_j + C_ja(j) - eps for all i, j.
 
-    Jacobi Bellman-Ford from a virtual source on the reduced costs
-    w_ij = C_ij - C_jj, with edges into j from the sources nearest x_j, and
-    updates taken only when they gain more than eps. The potentials are then
-    checked against every (i, j); each violated target gains an edge from its
-    worst source and relaxation resumes, for at most `_DENSE_CHECKS` checks.
-    False on a predecessor cycle (a negative cycle, so the identity is not
-    optimal), on n rounds without convergence, or when the checks run out.
+    Starts from the identity. Node j is source j holding target a(j), and an
+    edge i -> j of weight C_ia(j) - C_ja(j) hands that target to source i;
+    the edges into j come from the sources nearest x_j. Jacobi Bellman-Ford
+    from a virtual source relaxes these weights, taking only updates that
+    gain more than eps. Every cycle among the predecessors is then a cycle
+    of weight below -eps, so handing each target of every such cycle to its
+    predecessor at once lowers the cost; only the rotated rows' weights are
+    rebuilt, the predecessors restart at the roots, and the potentials stay
+    warm. Once relaxation settles the potentials are checked against every
+    (i, j); each violated target gains an edge from its worst source and
+    relaxation resumes, for at most `_DENSE_CHECKS` checks. None after n
+    rounds without a cycle or convergence, after more than
+    `_CYCLES_PER_POINT` * n cycles, or when the checks run out.
     """
     n = x.shape[0]
     k = min(_NEIGHBOURS, n)
     nbr = cKDTree(x).query(x, k=k)[1].reshape(n, k)
     w = _sq_norm(x[nbr] - y[:, None, :]) - diag[:, None]
     rows = np.arange(n)
+    perm = rows.copy()
+    diag = diag.copy()
     p = np.zeros(n)
     pred = np.full(n, n)
+    cycles = 0
     for _ in range(_DENSE_CHECKS):
-        for r in range(1, n + 1):
+        r = 0
+        while True:
+            r += 1
             cand = p[nbr] + w
             arg = cand.argmin(axis=1)
             best = cand[rows, arg]
@@ -174,40 +207,63 @@ def _identity_certified(x: np.ndarray, y: np.ndarray, diag: np.ndarray, eps: flo
                 break
             p[improved] = best[improved]
             pred[improved] = nbr[improved, arg[improved]]
-            if r % _CYCLE_CHECK_EVERY == 0 and _has_cycle(pred):
-                return False
-        else:
-            return False
-        slack, source = _dense_slack(x, y, p, p + diag - eps)
+            if r % _CYCLE_CHECK_EVERY and r < n:
+                continue
+            nodes, count = _predecessor_cycles(pred)
+            if not count:
+                if r == n:
+                    return None
+                continue
+            cycles += count
+            if cycles > _CYCLES_PER_POINT * n:
+                return None
+            perm[pred[nodes]] = perm[nodes]
+            target = y[perm[nodes]]
+            diag[nodes] = _sq_norm(x[nodes] - target)
+            w[nodes] = _sq_norm(x[nbr[nodes]] - target[:, None, :]) - diag[nodes, None]
+            pred.fill(n)
+            r = 0
+        target = y[perm]
+        slack, source = _dense_slack(x, target, p, p + diag - eps)
         violated = slack < 0
         if not violated.any():
-            return True
+            return perm
         # a target without a violation gains its own edge, of weight 0
         extra = np.where(violated, source, rows)
         nbr = np.column_stack([nbr, extra])
-        w = np.column_stack([w, _sq_norm(x[extra] - y) - diag])
-    return False
+        w = np.column_stack([w, _sq_norm(x[extra] - target) - diag])
+    return None
 
 
 def w2_exact(mu: ParticleEnsemble, nu: ParticleEnsemble) -> W2Result:
     """Exact W2 between equal-weight ensembles.
 
-    The identity coupling x_i -> y_i is returned when dual potentials certify
-    that its normalized cost is at most the optimum + eps, with eps
-    `_EPS_REL` times that cost; its distance is then `_identity_w2`'s, bit
-    for bit. Otherwise scipy's O(n^3) assignment solver finds an optimal
-    permutation. ``method`` says which path ran.
+    Starting from the identity coupling x_i -> y_i, negative cycles are
+    cancelled until dual potentials certify that the permutation's
+    normalized cost is at most the optimum + eps, with eps `_EPS_REL` times
+    the identity's cost. With no cycle cancelled the identity is returned
+    and its distance is `_identity_w2`'s, bit for bit; otherwise the cost is
+    summed over the permutation's pairs as the assignment path sums them.
+    When the certificate fails or the cycle cap is reached, scipy's O(n^3)
+    assignment solver finds an optimal permutation. ``method`` says which
+    path ran.
     """
     _check_pair(mu, nu)
     diag, identity_cost = _identity_costs(mu, nu)
-    if _identity_certified(mu.points, nu.points, diag, _EPS_REL * identity_cost):
-        return W2Result(float(np.sqrt(identity_cost)), Coupling(np.arange(mu.n), identity_cost), "identity")
-    cost_matrix = cdist(mu.points, nu.points, "sqeuclidean")
-    rows, cols = linear_sum_assignment(cost_matrix)
-    assignment = np.empty(mu.n, dtype=np.intp)
-    assignment[rows] = cols
-    cost = float(cost_matrix[rows, cols].sum() / mu.n)
-    return W2Result(float(np.sqrt(cost)), Coupling(assignment, cost), "assignment")
+    perm = _certified_permutation(mu.points, nu.points, diag, _EPS_REL * identity_cost)
+    if perm is None:
+        cost_matrix = cdist(mu.points, nu.points, "sqeuclidean")
+        rows, cols = linear_sum_assignment(cost_matrix)
+        perm = np.empty(mu.n, dtype=np.intp)
+        perm[rows] = cols
+        cost = float(cost_matrix[rows, cols].sum() / mu.n)
+        method = "assignment"
+    elif np.array_equal(perm, np.arange(mu.n)):
+        cost, method = identity_cost, "identity"
+    else:
+        cost = float(_sq_norm(mu.points - nu.points[perm]).sum() / mu.n)
+        method = "cancelled"
+    return W2Result(float(np.sqrt(cost)), Coupling(perm, cost), method)
 
 
 def w2_bruteforce(mu: ParticleEnsemble, nu: ParticleEnsemble) -> W2Result:

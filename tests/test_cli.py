@@ -253,6 +253,11 @@ class TestConfigErrors:
             pytest.param("field", {"name": "rotation", "params": {"omega": "fast"}}, id="field-param-string"),
             pytest.param("integrator", {"snap_times": [0, 0.5, 2.0]}, id="snap-times-past-horizon"),
             pytest.param(
+                None,
+                _endpoint_payload(integrator={"snap_times": [0, 0.5, 2.0]}),
+                id="endpoint-snap-times-past-horizon",
+            ),
+            pytest.param(
                 "field",
                 {
                     "name": "neural-static",
@@ -266,7 +271,8 @@ class TestConfigErrors:
         ],
     )
     def test_bad_integrator_rejected_at_parse(self, section, entries, tmp_path):
-        payload = _trajectory_payload(**{section: entries})
+        # without a section, entries is the whole payload
+        payload = entries if section is None else _trajectory_payload(**{section: entries})
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(payload)
         cfg = _write(tmp_path, "cfg.json", payload)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
@@ -29,6 +29,11 @@ def _brenier_pair(rng, n, d):
     # phi = x'(a'a)x / 10 + b.x + 0.3 log sum_k exp(slopes_k . x)
     y = x + 0.2 * x @ a.T @ a + rng.normal(size=d) + 0.3 * soft @ slopes
     return ParticleEnsemble(x), ParticleEnsemble(y)
+
+
+def _rotated(x, angle):
+    c, s = np.cos(angle), np.sin(angle)
+    return x @ np.array([[c, -s], [s, c]]).T
 
 
 def _assignment_w2(mu, nu):
@@ -102,17 +107,18 @@ class TestBruteforceAgreement:
 
 
 class TestIdentityCertificate:
-    """w2_exact returns a certified identity coupling or falls back to assignment."""
+    """w2_exact certifies the identity, cancels negative cycles from it, or falls back to assignment."""
 
     def _spy_cycles(self, monkeypatch):
         found = []
-        original = transport._has_cycle
+        original = transport._predecessor_cycles
 
         def spied(pred):
-            found.append(original(pred))
-            return found[-1]
+            nodes, count = original(pred)
+            found.append(count > 0)
+            return nodes, count
 
-        monkeypatch.setattr(transport, "_has_cycle", spied)
+        monkeypatch.setattr(transport, "_predecessor_cycles", spied)
         return found
 
     @settings(max_examples=40, deadline=None)
@@ -137,7 +143,7 @@ class TestIdentityCertificate:
         assert result.distance == pytest.approx(expected, rel=1e-12, abs=1e-300)
         assert result.coupling.cost == pytest.approx(expected**2, rel=1e-12, abs=1e-300)
         if kind == "random" and n >= 50:
-            assert result.method == "assignment"
+            assert result.method in ("cancelled", "assignment")
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_brenier_pair_is_certified_bitwise(self, d):
@@ -157,8 +163,8 @@ class TestIdentityCertificate:
         y[far] = y[far[::-1]]
         found = self._spy_cycles(monkeypatch)
         result = w2_exact(ParticleEnsemble(x), ParticleEnsemble(y))
-        assert found[-1] is True
-        assert result.method == "assignment"
+        assert True in found
+        assert result.method == "cancelled"
         assert result.distance == 0.0
         assert result.coupling.assignment[far].tolist() == far[::-1]
 
@@ -181,7 +187,7 @@ class TestIdentityCertificate:
         assert w2_exact(mu, nu).method == "assignment"
 
     @pytest.mark.parametrize("neighbours", [1, 32])
-    @pytest.mark.parametrize("delta, method", [(1e-14, "identity"), (1e-10, "assignment")])
+    @pytest.mark.parametrize("delta, method", [(1e-14, "identity"), (1e-10, "cancelled")])
     def test_certified_cost_is_within_eps_of_the_optimum(self, delta, method, neighbours, monkeypatch):
         # The swap beats the identity by 2 * delta per particle and eps is
         # 1e-12 * (0.5 + delta)^2. With one neighbour only the dense check
@@ -213,7 +219,71 @@ class TestIdentityCertificate:
         result = w2_exact(mu, nu)
         assert result.distance == pytest.approx(w2_bruteforce(mu, nu).distance, rel=1e-12, abs=1e-300)
         identity_optimal = _identity_w2(mu, nu) == w2_bruteforce(mu, nu).distance
-        assert result.method == ("identity" if identity_optimal else "assignment")
+        assert result.method == ("identity" if identity_optimal else "cancelled")
+
+
+class TestCycleCancelling:
+    """A non-identity optimum is reached by cancelling negative cycles from the identity."""
+
+    def _far_pair(self):
+        # a cloud and a noisy copy turned by 1 rad, as a one-period schedule leaves it
+        rng = np.random.default_rng(0)
+        x = rng.uniform(-1.0, 1.0, size=(300, 2))
+        return ParticleEnsemble(x), ParticleEnsemble(_rotated(x, 1.0) + 0.05 * rng.normal(size=(300, 2)))
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.sampled_from(["rotated", "displaced"]),
+        st.integers(2, 300),
+        st.integers(2, 3),
+        st.floats(0.2, 1.5),
+        st.integers(0, 10_000),
+    )
+    def test_agrees_with_the_assignment_solver(self, kind, n, d, size, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(n, d))
+        if kind == "rotated":
+            y = x.copy()
+            y[:, :2] = _rotated(x[:, :2], size)
+        else:
+            y = x + rng.normal(size=d) + 0.3 * size * rng.normal(size=(n, d))
+        mu, nu = ParticleEnsemble(x), ParticleEnsemble(y)
+        result = w2_exact(mu, nu)
+        assume(result.method == "cancelled")
+        expected, _ = _assignment_w2(mu, nu)
+        assert result.distance == pytest.approx(expected, rel=1e-12)
+        assert result.coupling.cost == pytest.approx(expected**2, rel=1e-12)
+
+    def test_far_pair_matches_the_assignment_solver_bitwise(self):
+        mu, nu = self._far_pair()
+        result = w2_exact(mu, nu)
+        cost_matrix = cdist(mu.points, nu.points, "sqeuclidean")
+        rows, cols = linear_sum_assignment(cost_matrix)
+        assert result.method == "cancelled"
+        assert result.coupling.assignment.tolist() == cols.tolist()
+        assert result.coupling.cost == cost_matrix[rows, cols].sum() / mu.n
+        assert result.distance == _assignment_w2(mu, nu)[0]
+
+    def test_warm_potentials_settle_in_few_rounds(self, monkeypatch):
+        # warm potentials settle this pair in 111 cycle checks; restarting
+        # them from 0 after each cancel takes more than twice as many rounds
+        checks = []
+        original = transport._predecessor_cycles
+
+        def counted(pred):
+            checks.append(pred.size)
+            return original(pred)
+
+        monkeypatch.setattr(transport, "_predecessor_cycles", counted)
+        assert w2_exact(*self._far_pair()).method == "cancelled"
+        assert len(checks) < 150
+
+    def test_cycle_cap_falls_back_to_the_assignment_solve(self, monkeypatch):
+        mu, nu = self._far_pair()
+        monkeypatch.setattr(transport, "_CYCLES_PER_POINT", 0)
+        result = w2_exact(mu, nu)
+        assert result.method == "assignment"
+        assert result.distance == _assignment_w2(mu, nu)[0]
 
 
 class TestMetricAxioms:
