@@ -112,12 +112,9 @@ def _cmd_compare(cfg: ExperimentConfig, out_dir: Path, args) -> int:
     inputs = cfg.build_inputs()
     mu0, _, vf = inputs
     reference = integrate_flow(vf, mu0, cfg.integrator(vf.horizon))
-    result, _, sup_err, final_err = compute_row(cfg, coords, inputs, reference)
+    _, report, _, sup_err, final_err = compute_row(cfg, coords, inputs, reference)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_json(
-        out_dir / "compare.json",
-        {"sup_w2": sup_err, "final_w2": final_err, "report": result.report.to_json_dict()},
-    )
+    _write_json(out_dir / "compare.json", {"sup_w2": sup_err, "final_w2": final_err, "report": report})
     print(f"sup_w2 = {sup_err:.6g}, final_w2 = {final_err:.6g} -> {out_dir / 'compare.json'}")
     return EXIT_OK
 

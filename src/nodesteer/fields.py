@@ -268,6 +268,21 @@ class VectorFieldSpec:
 # -- analytic benchmark fields -------------------------------------------------
 
 
+# name: (the function that builds the field, the params it reads)
+_BENCHMARKS = {}
+
+
+def _benchmark(name: str, *params: str):
+    """Register the decorated function as the benchmark ``name``, which reads ``params``."""
+
+    def register(build):
+        _BENCHMARKS[name] = (build, frozenset(params))
+        return build
+
+    return register
+
+
+@_benchmark("rotation", "omega", "radius", "horizon")
 def _rotation_spec(params: Mapping) -> VectorFieldSpec:
     omega = float(params["omega"])
     radius = float(params.get("radius", 2.0))
@@ -295,6 +310,7 @@ def _rotation_spec(params: Mapping) -> VectorFieldSpec:
     )
 
 
+@_benchmark("translation", "velocity", "radius", "horizon")
 def _translation_spec(params: Mapping) -> VectorFieldSpec:
     v = np.atleast_1d(np.asarray(params["velocity"], dtype=float))
     radius = float(params.get("radius", 2.0))
@@ -320,6 +336,7 @@ def _translation_spec(params: Mapping) -> VectorFieldSpec:
     )
 
 
+@_benchmark("contraction-to-point", "rate", "center", "radius", "horizon")
 def _contraction_spec(params: Mapping) -> VectorFieldSpec:
     rate = float(params.get("rate", 1.0))
     if rate <= 0:
@@ -348,6 +365,7 @@ def _contraction_spec(params: Mapping) -> VectorFieldSpec:
     )
 
 
+@_benchmark("shear", "rate", "radius", "horizon")
 def _shear_spec(params: Mapping) -> VectorFieldSpec:
     rate = float(params.get("rate", 1.0))
     radius = float(params.get("radius", 2.0))
@@ -377,6 +395,7 @@ def _shear_spec(params: Mapping) -> VectorFieldSpec:
     )
 
 
+@_benchmark("neural-static", "terms", "activation", "radius", "horizon")
 def _neural_static_spec(params: Mapping) -> VectorFieldSpec:
     activation = params.get("activation", "logistic")
     if activation != "logistic":
@@ -409,6 +428,7 @@ def _neural_static_spec(params: Mapping) -> VectorFieldSpec:
     )
 
 
+@_benchmark("double-gyre-static", "amplitude", "horizon")
 def _double_gyre_spec(params: Mapping) -> VectorFieldSpec:
     amplitude = float(params.get("amplitude", 0.1))
     horizon = float(params.get("horizon", 1.0))
@@ -434,21 +454,20 @@ def _double_gyre_spec(params: Mapping) -> VectorFieldSpec:
     )
 
 
-_BENCHMARKS = {
-    "rotation": _rotation_spec,
-    "translation": _translation_spec,
-    "contraction-to-point": _contraction_spec,
-    "shear": _shear_spec,
-    "double-gyre-static": _double_gyre_spec,
-    "neural-static": _neural_static_spec,
-}
-
-
 def benchmark_field(name: str, params: Optional[Mapping] = None) -> VectorFieldSpec:
-    """Named analytic field with exact declared C, K on its declared region."""
+    """Named analytic field with exact declared C, K on its declared region.
+
+    Raises ``ValueError`` for an unknown name and for a param the field does
+    not read, or one it needs that is missing.
+    """
     if name not in _BENCHMARKS:
         raise ValueError(f"unknown benchmark field {name!r}; choose from {sorted(_BENCHMARKS)}")
+    build, names = _BENCHMARKS[name]
+    params = params or {}
+    unknown = set(params) - names
+    if unknown:
+        raise ValueError(f"benchmark {name!r} takes no parameter(s) {sorted(unknown)}; it reads {sorted(names)}")
     try:
-        return _BENCHMARKS[name](params or {})
+        return build(params)
     except KeyError as exc:
         raise ValueError(f"benchmark {name!r} missing required parameter {exc}") from exc

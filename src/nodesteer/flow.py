@@ -28,7 +28,7 @@ class DivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Fixed-step integrator settings.
+    """Fixed-step RK4 integrator settings; ``method`` accepts only "rk4".
 
     snap_times is the requested output grid; it must start at 0 and increase.
     The effective step never exceeds base_step and is further subdivided at
@@ -41,8 +41,8 @@ class IntegratorConfig:
     snap_times: np.ndarray = field(default_factory=lambda: np.linspace(0.0, 1.0, 11))
 
     def __post_init__(self):
-        if self.method not in ("rk4", "euler"):
-            raise ValueError(f"unknown method {self.method!r}")
+        if self.method != "rk4":
+            raise ValueError(f"unknown method {self.method!r}; flows integrate with rk4 only")
         if not self.base_step > 0:
             raise ValueError("base_step must be positive")
         snaps = np.asarray(self.snap_times, dtype=float)
@@ -167,10 +167,6 @@ def _rk4_step(f, t: float, x: np.ndarray, h: float) -> np.ndarray:
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _euler_step(f, t: float, x: np.ndarray, h: float) -> np.ndarray:
-    return x + h * f(t, x)
-
-
 def integrate_flow(vf, mu0: ParticleEnsemble, cfg: IntegratorConfig) -> MeasureTrajectory:
     """Push mu0 forward along the field, recording snapshots at cfg.snap_times."""
     snaps_req = cfg.snap_times
@@ -186,7 +182,6 @@ def integrate_flow(vf, mu0: ParticleEnsemble, cfg: IntegratorConfig) -> MeasureT
     boundaries = np.unique(np.concatenate([snaps_req, internal]))
     snap_set = set(snaps_req.tolist())
 
-    step = _rk4_step if cfg.method == "rk4" else _euler_step
     x = np.array(mu0.points, dtype=float)
     recorded = [ParticleEnsemble(x)]
 
@@ -198,7 +193,7 @@ def integrate_flow(vf, mu0: ParticleEnsemble, cfg: IntegratorConfig) -> MeasureT
         t = float(a)
         for j in range(k):
             hj = float(b) - t if j == k - 1 else h
-            x = step(f, t, x, hj)
+            x = _rk4_step(f, t, x, hj)
             t = float(b) if j == k - 1 else t + h
             _check_finite(x, t)
         if float(b) in snap_set:

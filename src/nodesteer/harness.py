@@ -19,6 +19,7 @@ lists) and its artifacts are present; every other row is recomputed.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import math
@@ -28,7 +29,7 @@ import shutil
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from itertools import product
 from pathlib import Path
@@ -38,7 +39,7 @@ import numpy as np
 
 from .fields import benchmark_field
 from .flow import IntegratorConfig, MeasureTrajectory, integrate_flow, support_growth_check
-from .measures import RNG_ALGORITHM, MeasureSpec, ParticleEnsemble, sample_measure
+from .measures import RNG_ALGORITHM, MeasureSpec, ParticleEnsemble, _check_params, sample_measure
 from .synthesis import (
     DISPLACEMENT_HORIZON,
     SynthesisParams,
@@ -57,17 +58,21 @@ class ConfigError(ValueError):
     """Invalid or unparseable experiment configuration."""
 
 
-def _require_keys(d: Mapping, allowed: set, required: set, where: str) -> None:
-    unknown = set(d) - allowed
+def _object(value, where: str, allowed: set, required: set = frozenset()) -> Mapping:
+    """``value``, checked to be an object whose keys are among ``allowed`` and include ``required``."""
+    if not isinstance(value, Mapping):
+        raise ConfigError(f"{where} must be an object")
+    unknown = set(value) - allowed
     if unknown:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
-    missing = required - set(d)
+    missing = required - set(value)
     if missing:
         raise ConfigError(f"missing required key(s) {sorted(missing)} in {where}")
+    return value
 
 
 def _number(value, name: str, integer: bool = False):
-    """A config number, checked as given: an int when ``integer``, else unchanged.
+    """A config number, checked as given: an int when ``integer``, else a float.
 
     Bools, strings and other non-numbers are rejected, and so are the
     non-finite values ``json.loads`` reads from ``Infinity`` and ``NaN`` and a
@@ -82,62 +87,58 @@ def _number(value, name: str, integer: bool = False):
         if not (isinstance(value, numbers.Integral) or float(value).is_integer()):
             raise ConfigError(f"{name} must be an integer, got {value!r}")
         return int(value)
-    return value
+    return float(value)
 
 
-def _int_list(value, name: str) -> tuple:
+def _count(value, name: str, minimum: int) -> int:
+    count = _number(value, name, integer=True)
+    if count < minimum:
+        bound = f"an integer >= {minimum}" if minimum else "a nonnegative integer"
+        raise ConfigError(f"{name} must be {bound}")
+    return count
+
+
+def _int_list(value, name: str) -> list:
     values = value if isinstance(value, (list, tuple)) else [value]
     if not values:
         raise ConfigError(f"{name} must be an integer or nonempty list of integers")
     out = {_number(v, f"{name} entries", integer=True) for v in values}
     if min(out) < 1:
         raise ConfigError(f"{name} entries must be integers >= 1")
-    return tuple(sorted(out))
+    return sorted(out)
 
 
-@dataclass(frozen=True)
+def _measure(entry, where: str) -> dict:
+    """A measure entry as {"kind", "params"}, each param one its kind reads."""
+    entry = _object(entry, where, {"kind", "params"}, {"kind"})
+    spec = MeasureSpec(entry["kind"], dict(entry.get("params", {})))
+    if spec.kind != "translate-of-initial":
+        _check_params(spec)
+    elif where != "target_measure":
+        raise ConfigError("translate-of-initial is only valid as a target_measure")
+    elif set(spec.params) != {"offset"}:
+        raise ConfigError("translate-of-initial takes exactly one param: offset")
+    return spec.to_dict()
+
+
 class ExperimentConfig:
-    """Parsed experiment description; see :func:`ExperimentConfig.from_dict`."""
+    """A parsed experiment config, held as its normalized dict.
 
-    kind: str
-    initial_measure: MeasureSpec
-    n_particles: int
-    seed: int
-    n_avg_values: tuple
-    m_values: tuple
-    n_osc_values: tuple
-    fit_tolerance: float = 0.1
-    region_margin: float = 1.5
-    synthesis_seed: Optional[int] = None
-    field_name: Optional[str] = None
-    field_params: Mapping = field(default_factory=dict)
-    target_measure: Optional[MeasureSpec] = None
-    smoothing: float = 0.5
-    method: str = "rk4"
-    base_step: float = 0.01
-    snap_count: int = 11
-    snap_times: Optional[tuple] = None
-    out_dir: Optional[str] = None
-    schedule_path: Optional[str] = None
+    :meth:`from_dict` checks every key and fills in every default it leaves
+    out; :meth:`to_dict` returns a copy of that dict, which the manifest
+    records and ``resume`` fingerprints. A trajectory config also keeps the
+    benchmark field it names, built once at the parse.
+    """
+
+    def __init__(self, normalized: dict, benchmark=None):
+        self._config = normalized
+        self._benchmark = benchmark
 
     @staticmethod
     def from_dict(raw: Mapping) -> "ExperimentConfig":
-        if not isinstance(raw, Mapping):
-            raise ConfigError("config must be a JSON object")
-        top_allowed = {
-            "kind",
-            "initial_measure",
-            "target_measure",
-            "field",
-            "n_particles",
-            "synthesis",
-            "integrator",
-            "smoothing",
-            "out_dir",
-            "seed",
-            "schedule",
-        }
-        _require_keys(raw, top_allowed, {"kind", "initial_measure", "n_particles", "synthesis", "seed"}, "config")
+        top_allowed = {"kind", "seed", "n_particles", "initial_measure", "synthesis", "integrator", "field"}
+        top_allowed |= {"target_measure", "smoothing", "out_dir", "schedule"}
+        _object(raw, "config", top_allowed, {"kind", "initial_measure", "n_particles", "synthesis", "seed"})
         kind = raw["kind"]
         if kind not in ("trajectory", "endpoint"):
             raise ConfigError(f"kind must be 'trajectory' or 'endpoint', got {kind!r}")
@@ -145,110 +146,76 @@ class ExperimentConfig:
             raise ConfigError("trajectory config needs a 'field' entry")
         if kind == "endpoint" and "target_measure" not in raw:
             raise ConfigError("endpoint config needs a 'target_measure' entry")
-
-        seed = _number(raw["seed"], "seed", integer=True)
-        if seed < 0:
-            raise ConfigError("seed must be a nonnegative integer")
-        n_particles = _number(raw["n_particles"], "n_particles", integer=True)
-        if n_particles < 1:
-            raise ConfigError("n_particles must be an integer >= 1")
-
-        def parse_measure(entry, where):
-            if not isinstance(entry, Mapping):
-                raise ConfigError(f"{where} must be an object with kind/params")
-            _require_keys(entry, {"kind", "params"}, {"kind"}, where)
-            spec = MeasureSpec(entry["kind"], dict(entry.get("params", {})))
-            if spec.kind == "translate-of-initial":
-                if where != "target_measure":
-                    raise ConfigError("translate-of-initial is only valid as a target_measure")
-                if set(spec.params) != {"offset"}:
-                    raise ConfigError("translate-of-initial takes exactly one param: offset")
-            return spec
-
-        syn = raw["synthesis"]
-        if not isinstance(syn, Mapping):
-            raise ConfigError("synthesis must be an object")
         syn_allowed = {"n_avg", "m_width", "n_osc", "fit_tolerance", "region_margin", "seed"}
-        _require_keys(syn, syn_allowed, set(), "synthesis")
-        synthesis_seed = None
-        if "seed" in syn:
-            synthesis_seed = _number(syn["seed"], "synthesis.seed", integer=True)
-            if synthesis_seed < 0:
-                raise ConfigError("synthesis.seed must be a nonnegative integer")
-
-        field_name, field_params = None, {}
-        if "field" in raw:
-            f = raw["field"]
-            if not isinstance(f, Mapping):
-                raise ConfigError("field must be an object with name/params")
-            _require_keys(f, {"name", "params"}, {"name"}, "field")
-            field_name, field_params = f["name"], dict(f.get("params", {}))
-
-        integ = raw.get("integrator", {})
-        if not isinstance(integ, Mapping):
-            raise ConfigError("integrator must be an object")
-        _require_keys(integ, {"method", "base_step", "snap_count", "snap_times"}, set(), "integrator")
+        syn = _object(raw["synthesis"], "synthesis", syn_allowed)
+        integ_allowed = {"method", "base_step", "snap_count", "snap_times"}
+        integ = _object(raw.get("integrator", {}), "integrator", integ_allowed)
         if "snap_count" in integ and "snap_times" in integ:
             raise ConfigError("give snap_count or snap_times, not both")
-        for key in ("schedule", "out_dir"):
-            if key in raw and not isinstance(raw[key], str):
-                raise ConfigError(f"{key} must be a path string")
 
+        defaults = SynthesisParams()
         try:
-            cfg = ExperimentConfig(
-                kind=kind,
-                initial_measure=parse_measure(raw["initial_measure"], "initial_measure"),
-                n_particles=n_particles,
-                seed=seed,
-                n_avg_values=_int_list(syn.get("n_avg", 1), "synthesis.n_avg"),
-                m_values=_int_list(syn.get("m_width", 16), "synthesis.m_width"),
-                n_osc_values=_int_list(syn.get("n_osc", 4), "synthesis.n_osc"),
-                fit_tolerance=float(_number(syn.get("fit_tolerance", 0.1), "synthesis.fit_tolerance")),
-                region_margin=float(_number(syn.get("region_margin", 1.5), "synthesis.region_margin")),
-                synthesis_seed=synthesis_seed,
-                field_name=field_name,
-                field_params=field_params,
-                target_measure=(
-                    parse_measure(raw["target_measure"], "target_measure")
-                    if "target_measure" in raw
-                    else None
-                ),
-                smoothing=float(_number(raw.get("smoothing", 0.5), "smoothing")),
-                method=integ.get("method", "rk4"),
-                base_step=float(_number(integ.get("base_step", 0.01), "integrator.base_step")),
-                snap_count=_number(integ.get("snap_count", 11), "integrator.snap_count", integer=True),
-                snap_times=(
-                    tuple(float(_number(t, "integrator.snap_times entries")) for t in integ["snap_times"])
-                    if "snap_times" in integ
-                    else None
-                ),
-                out_dir=raw.get("out_dir"),
-                schedule_path=raw.get("schedule"),
-            )
-            if cfg.smoothing <= 0:
+            config = {
+                "kind": kind,
+                "seed": _count(raw["seed"], "seed", 0),
+                "n_particles": _count(raw["n_particles"], "n_particles", 1),
+                "initial_measure": _measure(raw["initial_measure"], "initial_measure"),
+                "synthesis": {
+                    "n_avg": _int_list(syn.get("n_avg", defaults.n_avg), "synthesis.n_avg"),
+                    "m_width": _int_list(syn.get("m_width", defaults.m_width), "synthesis.m_width"),
+                    "n_osc": _int_list(syn.get("n_osc", defaults.n_osc), "synthesis.n_osc"),
+                    "fit_tolerance": _number(
+                        syn.get("fit_tolerance", defaults.fit_tolerance), "synthesis.fit_tolerance"
+                    ),
+                    "region_margin": _number(
+                        syn.get("region_margin", defaults.region_margin), "synthesis.region_margin"
+                    ),
+                },
+                "integrator": {
+                    "method": integ.get("method", IntegratorConfig.method),
+                    "base_step": _number(integ.get("base_step", 0.01), "integrator.base_step"),
+                },
+            }
+            if "seed" in syn:
+                config["synthesis"]["seed"] = _count(syn["seed"], "synthesis.seed", 0)
+            if "snap_times" in integ:
+                config["integrator"]["snap_times"] = [
+                    _number(t, "integrator.snap_times entries") for t in integ["snap_times"]
+                ]
+            else:
+                config["integrator"]["snap_count"] = _count(integ.get("snap_count", 11), "integrator.snap_count", 2)
+            # a trajectory config reads no smoothing, but one it gives must still be valid
+            smoothing = _number(raw.get("smoothing", 0.5), "smoothing")
+            if smoothing <= 0:
                 raise ConfigError("smoothing must be positive")
-            if cfg.snap_count < 2:
-                raise ConfigError("snap_count must be >= 2")
-            # Checks the synthesis knobs, the integrator, a trajectory
-            # config's field and the snap times against the field's horizon
-            # now, so a bad value fails the parse instead of every row or the
-            # sweep after its output directory exists.
+            if "field" in raw:
+                entry = _object(raw["field"], "field", {"name", "params"}, {"name"})
+                config["field"] = {"name": entry["name"], "params": copy.deepcopy(dict(entry.get("params", {})))}
+            if "target_measure" in raw:
+                config["target_measure"] = _measure(raw["target_measure"], "target_measure")
+                config["smoothing"] = smoothing
+            for key in ("out_dir", "schedule"):
+                if key in raw:
+                    if not isinstance(raw[key], str):
+                        raise ConfigError(f"{key} must be a path string")
+                    config[key] = raw[key]
+
+            # Checks the synthesis knobs, the integrator and the snap times
+            # against the field's horizon now, so a bad value fails the parse
+            # instead of every row or the sweep after its output directory
+            # exists.
+            benchmark = benchmark_field(**config["field"]) if kind == "trajectory" else None
+            cfg = ExperimentConfig(config, benchmark)
             for coords in cfg.sweep_points():
                 cfg.synthesis_params(coords)
-            cfg.integrator(1.0)
-            horizon = (
-                benchmark_field(field_name, field_params).horizon
-                if kind == "trajectory"
-                else DISPLACEMENT_HORIZON
-            )
-            if cfg.snap_times is not None and cfg.snap_times[-1] > horizon + 1e-12:
-                raise ConfigError(
-                    f"snap_times end at {cfg.snap_times[-1]}, past the field's horizon {horizon}"
-                )
+            horizon = DISPLACEMENT_HORIZON if benchmark is None else benchmark.horizon
+            end = cfg.integrator(horizon).snap_times[-1]
+            if end > horizon + 1e-12:
+                raise ConfigError(f"snap_times end at {end}, past the field's horizon {horizon}")
             return cfg
         except ConfigError:
             raise
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(str(exc)) from exc
 
     @staticmethod
@@ -260,81 +227,74 @@ class ExperimentConfig:
         return ExperimentConfig.from_dict(raw)
 
     def to_dict(self) -> dict:
-        d = {
-            "kind": self.kind,
-            "initial_measure": self.initial_measure.to_dict(),
-            "n_particles": self.n_particles,
-            "seed": self.seed,
-            "synthesis": {
-                "n_avg": list(self.n_avg_values),
-                "m_width": list(self.m_values),
-                "n_osc": list(self.n_osc_values),
-                "fit_tolerance": self.fit_tolerance,
-                "region_margin": self.region_margin,
-                **({"seed": self.synthesis_seed} if self.synthesis_seed is not None else {}),
-            },
-            "integrator": {"method": self.method, "base_step": self.base_step},
-        }
-        if self.snap_times is not None:
-            d["integrator"]["snap_times"] = list(self.snap_times)
-        else:
-            d["integrator"]["snap_count"] = self.snap_count
-        if self.field_name is not None:
-            d["field"] = {"name": self.field_name, "params": dict(self.field_params)}
-        if self.target_measure is not None:
-            d["target_measure"] = self.target_measure.to_dict()
-            d["smoothing"] = self.smoothing
-        if self.out_dir is not None:
-            d["out_dir"] = self.out_dir
-        if self.schedule_path is not None:
-            d["schedule"] = self.schedule_path
-        return d
+        return copy.deepcopy(self._config)
+
+    @property
+    def kind(self) -> str:
+        return self._config["kind"]
+
+    @property
+    def out_dir(self) -> Optional[str]:
+        return self._config.get("out_dir")
+
+    @property
+    def schedule_path(self) -> Optional[str]:
+        return self._config.get("schedule")
 
     # -- derived pieces ----------------------------------------------------
 
     def measure_seeds(self) -> tuple:
-        s = np.random.SeedSequence(self.seed).generate_state(2)
+        s = np.random.SeedSequence(self._config["seed"]).generate_state(2)
         return int(s[0]), int(s[1])
 
+    def _sample(self, key: str, which: int) -> ParticleEnsemble:
+        spec = MeasureSpec(**self._config[key])
+        return sample_measure(spec, self._config["n_particles"], self.measure_seeds()[which])
+
     def build_mu0(self) -> ParticleEnsemble:
-        return sample_measure(self.initial_measure, self.n_particles, self.measure_seeds()[0])
+        return self._sample("initial_measure", 0)
 
     def build_inputs(self) -> tuple:
         """(mu0, muf, field): the initial ensemble, the target ensemble, the target field.
 
-        muf is None for trajectory configs, whose field is the named benchmark.
-        For endpoint configs the field is the displacement interpolation from
-        mu0 to muf; a translate-of-initial target shifts this same mu0.
+        muf is None for trajectory configs, whose field is the named benchmark
+        the parse built. For endpoint configs the field is the displacement
+        interpolation from mu0 to muf; a translate-of-initial target shifts
+        this same mu0.
         """
         mu0 = self.build_mu0()
         if self.kind == "trajectory":
-            return mu0, None, benchmark_field(self.field_name, self.field_params)
-        if self.target_measure.kind == "translate-of-initial":
-            muf = mu0.translate(np.asarray(self.target_measure.params["offset"], dtype=float))
+            return mu0, None, self._benchmark
+        target = self._config["target_measure"]
+        if target["kind"] == "translate-of-initial":
+            muf = mu0.translate(np.asarray(target["params"]["offset"], dtype=float))
         else:
-            muf = sample_measure(self.target_measure, self.n_particles, self.measure_seeds()[1])
-        return mu0, muf, displacement_target_field(mu0, muf, self.smoothing)
+            muf = self._sample("target_measure", 1)
+        return mu0, muf, displacement_target_field(mu0, muf, self._config["smoothing"])
 
     def integrator(self, horizon: float) -> IntegratorConfig:
+        integ = self._config["integrator"]
         snaps = (
-            np.asarray(self.snap_times, dtype=float)
-            if self.snap_times is not None
-            else np.linspace(0.0, horizon, self.snap_count)
+            np.asarray(integ["snap_times"], dtype=float)
+            if "snap_times" in integ
+            else np.linspace(0.0, horizon, integ["snap_count"])
         )
-        return IntegratorConfig(method=self.method, base_step=self.base_step, snap_times=snaps)
+        return IntegratorConfig(method=integ["method"], base_step=integ["base_step"], snap_times=snaps)
 
     def sweep_points(self) -> list:
-        return sorted(product(self.n_avg_values, self.m_values, self.n_osc_values))
+        syn = self._config["synthesis"]
+        return sorted(product(syn["n_avg"], syn["m_width"], syn["n_osc"]))
 
     def synthesis_params(self, coords) -> SynthesisParams:
         n_avg, m, n_osc = coords
+        syn = self._config["synthesis"]
         return SynthesisParams(
             n_avg=n_avg,
             m_width=m,
-            fit_tolerance=self.fit_tolerance,
             n_osc=n_osc,
-            region_margin=self.region_margin,
-            seed=self.seed if self.synthesis_seed is None else self.synthesis_seed,
+            fit_tolerance=syn["fit_tolerance"],
+            region_margin=syn["region_margin"],
+            seed=syn.get("seed", self._config["seed"]),
         )
 
 
@@ -495,9 +455,11 @@ def compute_row(
     and ``reference`` the field's flow from mu0 on the config's snapshot grid.
     ``window_fits`` supplies the fit stage's result for the row's params (a
     sweep's :class:`_FitMemo`); by default the row fits on its own. Returns
-    (synthesis result, synthesized trajectory, sup_w2, final_w2).
-    ``final_w2`` is measured against muf for endpoint configs and against the
-    reference's final snapshot for trajectory configs.
+    (synthesis result, report, synthesized trajectory, sup_w2, final_w2),
+    where the report is the synthesis report's JSON dict plus the
+    synthesized flow's ``support_growth`` check. ``final_w2`` is measured
+    against muf for endpoint configs and against the reference's final
+    snapshot for trajectory configs.
     """
     mu0, muf, vf = inputs
     window_fits = window_fits or _FitMemo(partial(fit_windows, vf, mu0))
@@ -505,9 +467,14 @@ def compute_row(
     _check_piece_cap(params)
     result = schedule_windows(window_fits(params), params)
     synthesized = integrate_flow(result.schedule, mu0, cfg.integrator(vf.horizon))
+    report = result.report.to_json_dict()
+    # the synthesized flow's containment in Omega = B_{R+r}(0), where the fit holds
+    report["support_growth"] = support_growth_check(
+        synthesized, report["support_radius"], report["region_R"], report["bound_C"] + report["delta"]
+    ).to_dict()
     sup_err = sup_w2(synthesized, reference)
     final_err = w2_exact(synthesized.final, reference.final if muf is None else muf).distance
-    return result, synthesized, sup_err, final_err
+    return result, report, synthesized, sup_err, final_err
 
 
 def _config_fingerprint(cfg: ExperimentConfig) -> str:
@@ -550,14 +517,9 @@ def _execute_row(
     row_dir.mkdir(parents=True)
     start = time.perf_counter()
     try:
-        result, synthesized, sup_err, final_err = compute_row(cfg, coords, inputs, reference, window_fits)
+        result, report, synthesized, sup_err, final_err = compute_row(cfg, coords, inputs, reference, window_fits)
 
         _atomic_write(row_dir / "schedule.json", result.schedule.to_json() + "\n")
-        report = result.report.to_json_dict()
-        # the synthesized flow's containment in Omega = B_{R+r}(0), where the fit holds
-        report["support_growth"] = support_growth_check(
-            synthesized, report["support_radius"], report["region_R"], report["bound_C"] + report["delta"]
-        ).to_dict()
         _write_json(row_dir / "report.json", report)
         traj_dir = row_dir / "trajectory"
         traj_dir.mkdir(exist_ok=True)

@@ -231,6 +231,29 @@ def _parse_cov(params: Mapping, dim: int) -> np.ndarray:
     return cov
 
 
+# the params each kind reads; a mixture's components are params of their kind
+_PARAMS = {
+    "uniform-ball": {"center", "radius"},
+    "gaussian-truncated": {"region", "mean", "cov", "std"},
+    "gaussian-mixture-truncated": {"region", "components"},
+    "two-moons": {"center", "scale", "noise"},
+    "explicit-points": {"points"},
+}
+_COMPONENT_PARAMS = {"mean", "cov", "std", "weight"}
+
+
+def _check_params(spec: MeasureSpec) -> None:
+    """Reject an unknown kind and any param (or mixture component key) its kind never reads."""
+    if spec.kind not in _PARAMS:
+        raise MeasureSpecError(f"unknown measure spec kind {spec.kind!r}")
+    unknown = set(spec.params) - _PARAMS[spec.kind]
+    if spec.kind == "gaussian-mixture-truncated":
+        for comp in spec.params.get("components") or ():
+            unknown |= {f"components.{key}" for key in set(comp) - _COMPONENT_PARAMS}
+    if unknown:
+        raise MeasureSpecError(f"{spec.kind} takes no param(s) {sorted(unknown)}")
+
+
 def _spec_region(spec: MeasureSpec) -> Region:
     """The declared truncation region every sample must land inside."""
     kind, params = spec.kind, spec.params
@@ -256,12 +279,11 @@ def _spec_region(spec: MeasureSpec) -> Region:
         cy = center[1] + scale * 0.125
         hw = np.array([scale * 1.5 + pad, scale * 0.875 + pad])
         return Region("box", np.array([cx, cy]), hw)
-    if kind == "explicit-points":
-        pts = np.atleast_2d(np.asarray(params["points"], dtype=float))
-        center = 0.5 * (pts.min(axis=0) + pts.max(axis=0))
-        hw = np.maximum(0.5 * (pts.max(axis=0) - pts.min(axis=0)), 1e-9)
-        return Region("box", center, hw)
-    raise MeasureSpecError(f"unknown measure spec kind {kind!r}")
+    # explicit-points
+    pts = np.atleast_2d(np.asarray(params["points"], dtype=float))
+    center = 0.5 * (pts.min(axis=0) + pts.max(axis=0))
+    hw = np.maximum(0.5 * (pts.max(axis=0) - pts.min(axis=0)), 1e-9)
+    return Region("box", center, hw)
 
 
 def _two_moons_draw(rng: np.random.Generator, params: Mapping):
@@ -285,11 +307,13 @@ def sample_measure(spec: MeasureSpec, n: int, seed: int) -> ParticleEnsemble:
     """Draw a seeded n-point ensemble from the spec'd distribution.
 
     Deterministic given (spec, n, seed); every point lies inside the spec's
-    truncation region. Raises :class:`MeasureSpecError` for bad parameters and
-    ``ValueError`` for n < 1.
+    truncation region. Raises :class:`MeasureSpecError` for an unknown kind,
+    a param the kind does not read or a bad param value, and ``ValueError``
+    for n < 1.
     """
     if n < 1:
         raise ValueError("sample_measure needs n >= 1")
+    _check_params(spec)
     rng = np.random.default_rng(seed)
     kind, params = spec.kind, spec.params
     region = _spec_region(spec)
@@ -333,12 +357,10 @@ def sample_measure(spec: MeasureSpec, n: int, seed: int) -> ParticleEnsemble:
         pts = _rejection_sample(draw, region, n)
     elif kind == "two-moons":
         pts = _rejection_sample(_two_moons_draw(rng, params), region, n)
-    elif kind == "explicit-points":
+    else:  # explicit-points
         pts = np.atleast_2d(np.asarray(params["points"], dtype=float))
         if pts.shape[0] != n:
             raise MeasureSpecError(f"explicit-points has {pts.shape[0]} points, n = {n}")
-    else:
-        raise MeasureSpecError(f"unknown measure spec kind {kind!r}")
 
     provenance = {"spec": spec.to_dict(), "n": n, "seed": seed, "rng": RNG_ALGORITHM}
     return ParticleEnsemble(pts, provenance=provenance)

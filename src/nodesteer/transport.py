@@ -241,28 +241,22 @@ def w2_exact(mu: ParticleEnsemble, nu: ParticleEnsemble) -> W2Result:
     Starting from the identity coupling x_i -> y_i, negative cycles are
     cancelled until dual potentials certify that the permutation's
     normalized cost is at most the optimum + eps, with eps `_EPS_REL` times
-    the identity's cost. With no cycle cancelled the identity is returned
-    and its distance is `_identity_w2`'s, bit for bit; otherwise the cost is
-    summed over the permutation's pairs as the assignment path sums them.
-    When the certificate fails or the cycle cap is reached, scipy's O(n^3)
-    assignment solver finds an optimal permutation. ``method`` says which
-    path ran.
+    the identity's cost. When the certificate fails or the cycle cap is
+    reached, scipy's O(n^3) assignment solver finds an optimal permutation.
+    Every path costs its permutation by one expression, so an identity
+    result's distance is `_identity_w2`'s, bit for bit. ``method`` says
+    which path ran.
     """
     _check_pair(mu, nu)
     diag, identity_cost = _identity_costs(mu, nu)
     perm = _certified_permutation(mu.points, nu.points, diag, _EPS_REL * identity_cost)
     if perm is None:
-        cost_matrix = cdist(mu.points, nu.points, "sqeuclidean")
-        rows, cols = linear_sum_assignment(cost_matrix)
-        perm = np.empty(mu.n, dtype=np.intp)
-        perm[rows] = cols
-        cost = float(cost_matrix[rows, cols].sum() / mu.n)
+        # the row indices of a square problem come back as 0..n-1
+        perm = linear_sum_assignment(cdist(mu.points, nu.points, "sqeuclidean"))[1]
         method = "assignment"
-    elif np.array_equal(perm, np.arange(mu.n)):
-        cost, method = identity_cost, "identity"
     else:
-        cost = float(_sq_norm(mu.points - nu.points[perm]).sum() / mu.n)
-        method = "cancelled"
+        method = "identity" if np.array_equal(perm, np.arange(mu.n)) else "cancelled"
+    cost = float(_sq_norm(mu.points - nu.points[perm]).sum() / mu.n)
     return W2Result(float(np.sqrt(cost)), Coupling(perm, cost), method)
 
 

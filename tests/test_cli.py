@@ -131,6 +131,9 @@ class TestCompare:
         compared = json.loads((tmp_path / "cmp" / "compare.json").read_text())
         row = json.loads((tmp_path / "sweep" / "rows" / "navg1_m64_nosc4" / "row.json").read_text())
         assert (compared["sup_w2"], compared["final_w2"]) == (row["sup_w2"], row["final_w2"])
+        report = json.loads((tmp_path / "sweep" / "rows" / "navg1_m64_nosc4" / "report.json").read_text())
+        assert compared["report"] == report
+        assert "support_growth" in compared["report"]
 
 
 class TestSweep:
@@ -224,6 +227,28 @@ class TestConfigErrors:
         "section, entries",
         [
             pytest.param("integrator", {"method": "rk5"}, id="integrator0"),
+            pytest.param("integrator", {"method": "euler"}, id="integrator-euler"),
+            pytest.param("smoothing", 0, id="trajectory-smoothing-zero"),
+            pytest.param("smoothing", -1, id="trajectory-smoothing-negative"),
+            pytest.param(
+                "field", {"name": "rotation", "params": {"omega": 1.0, "horizn": 2.0}}, id="field-param-horizn"
+            ),
+            pytest.param(
+                "field", {"name": "rotation", "params": {"omega": 1.0, "omgea": 3.0}}, id="field-param-omgea"
+            ),
+            pytest.param(
+                "initial_measure",
+                {"kind": "uniform-ball", "params": {"center": [0.0, 0.0], "radus": 5.0}},
+                id="measure-param-radus",
+            ),
+            pytest.param(
+                "initial_measure",
+                {
+                    "kind": "gaussian-truncated",
+                    "params": {"sd": 3.0, "region": {"kind": "ball", "center": [0.0, 0.0], "radius": 1.0}},
+                },
+                id="measure-param-sd",
+            ),
             pytest.param("integrator", {"base_step": 0}, id="integrator1"),
             pytest.param("integrator", {"base_step": "fast"}, id="integrator2"),
             pytest.param("integrator", {"snap_times": [0.5, 1.0]}, id="integrator3"),
@@ -247,6 +272,7 @@ class TestConfigErrors:
             pytest.param("smoothing", float("nan"), id="smoothing-nan"),
             pytest.param("smoothing", float("inf"), id="smoothing-inf"),
             pytest.param("synthesis", {"fit_tolerance": float("inf")}, id="fit-tolerance-inf"),
+            pytest.param("synthesis", {"fit_tolerance": 10**400}, id="fit-tolerance-overflow"),
             pytest.param("integrator", {"snap_times": [0.0, float("inf")]}, id="snap-times-inf"),
             pytest.param("field", {"name": "vortex-street", "params": {}}, id="field-unknown-name"),
             pytest.param("field", {"name": "rotation", "params": {}}, id="field-missing-param"),

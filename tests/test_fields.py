@@ -237,6 +237,11 @@ class TestBenchmarks:
             vf.static_superposition(x), nf(x)
         )
 
+    @pytest.mark.parametrize("params", [{"omega": 1.0, "horizn": 2.0}, {"omega": 1.0, "omgea": 3.0}])
+    def test_unknown_param_rejected(self, params):
+        with pytest.raises(ValueError, match="takes no parameter"):
+            benchmark_field("rotation", params)
+
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             benchmark_field("vortex-street")

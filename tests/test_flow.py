@@ -62,18 +62,6 @@ class TestIntegrateFlow:
         for coarse, fine in zip(errors, errors[1:]):
             assert 12.0 <= coarse / fine <= 20.0
 
-    def test_euler_first_order(self):
-        vf = benchmark_field("rotation", {"omega": 1.0})
-        x0 = ParticleEnsemble([[1.0, 0.0]])
-        snap = np.array([0.0, 1.0])
-        errors = []
-        for h in (1 / 100, 1 / 200):
-            cfg = IntegratorConfig(method="euler", base_step=h, snap_times=snap)
-            traj = integrate_flow(vf, x0, cfg)
-            exact = vf.analytic_flow(1.0, x0.points)
-            errors.append(np.linalg.norm(traj.final.points - exact))
-        assert 1.7 <= errors[0] / errors[1] <= 2.3
-
     def test_contraction_against_analytic(self):
         vf = benchmark_field("contraction-to-point", {"rate": 1.0, "center": [0.0, 0.0]})
         mu0 = _disk(50, seed=3)

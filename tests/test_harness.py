@@ -89,6 +89,24 @@ class TestConfigParsing:
             lambda r: r["field"].update(nmae="x"),
             lambda r: r["integrator"].update(steps=10),
             lambda r: r["initial_measure"].update(sigma=1.0),
+            lambda r: r.update(field={"name": "rotation", "params": {"omega": 1.0, "horizn": 2.0}}),
+            lambda r: r.update(field={"name": "rotation", "params": {"omega": 1.0, "omgea": 3.0}}),
+            lambda r: r["initial_measure"]["params"].update(radus=5.0),
+            lambda r: r.update(
+                initial_measure={
+                    "kind": "gaussian-truncated",
+                    "params": {"sd": 3.0, "region": {"kind": "ball", "center": [0.0, 0.0], "radius": 1.0}},
+                }
+            ),
+            lambda r: r.update(
+                initial_measure={
+                    "kind": "gaussian-mixture-truncated",
+                    "params": {
+                        "components": [{"mean": [0.0, 0.0], "sd": 0.3}],
+                        "region": {"kind": "ball", "center": [0.0, 0.0], "radius": 1.0},
+                    },
+                }
+            ),
         ],
     )
     def test_unknown_keys_rejected_at_every_level(self, mangle):
@@ -176,6 +194,84 @@ class TestConfigParsing:
         raw["synthesis"]["m_width"] = [8, 2]
         cfg = ExperimentConfig.from_dict(raw)
         assert cfg.sweep_points() == [(1, 2, 1), (1, 2, 4), (1, 8, 1), (1, 8, 4)]
+
+    @pytest.mark.parametrize(
+        "name, normalized",
+        [
+            (
+                "rotation_sweep.json",
+                {
+                    "kind": "trajectory",
+                    "seed": 0,
+                    "n_particles": 200,
+                    "initial_measure": {"kind": "uniform-ball", "params": {"center": [0.0, 0.0], "radius": 1.0}},
+                    "field": {"name": "rotation", "params": {"omega": 1.0, "radius": 2.0, "horizon": 1.0}},
+                    "synthesis": {
+                        "n_avg": [1],
+                        "m_width": [64],
+                        "n_osc": [1, 2, 4, 8, 16],
+                        "fit_tolerance": 0.1,
+                        "region_margin": 1.5,
+                    },
+                    "integrator": {"method": "rk4", "base_step": 0.01, "snap_count": 11},
+                },
+            ),
+            (
+                "translation_endpoint.json",
+                {
+                    "kind": "endpoint",
+                    "seed": 0,
+                    "n_particles": 200,
+                    "initial_measure": {
+                        "kind": "gaussian-truncated",
+                        "params": {
+                            "mean": [0.0, 0.0],
+                            "std": 0.31622776601683794,
+                            "region": {"kind": "ball", "center": [0.0, 0.0], "radius": 1.0},
+                        },
+                    },
+                    "target_measure": {"kind": "translate-of-initial", "params": {"offset": [2.0, 0.0]}},
+                    "smoothing": 0.5,
+                    "synthesis": {
+                        "n_avg": [1],
+                        "m_width": [64],
+                        "n_osc": [1, 4, 16],
+                        "fit_tolerance": 0.1,
+                        "region_margin": 1.5,
+                    },
+                    "integrator": {"method": "rk4", "base_step": 0.01, "snap_count": 11},
+                },
+            ),
+        ],
+    )
+    def test_shipped_configs_normalize_to_pinned_dicts(self, name, normalized):
+        # every default filled in: a changed default changes manifest.json and
+        # the resume fingerprint, so it must change this dict too
+        path = Path(__file__).parent / "configs" / name
+        assert ExperimentConfig.from_json(path.read_text()).to_dict() == normalized
+
+    def test_to_dict_is_a_copy(self):
+        raw = _trajectory_raw()
+        cfg = ExperimentConfig.from_dict(raw)
+        raw["field"]["params"]["velocity"][1] = 7.0
+        cfg.to_dict()["synthesis"]["n_osc"].append(99)
+        cfg.to_dict()["field"]["params"]["velocity"][0] = 5.0
+        assert cfg.sweep_points() == [(1, 4, 1), (1, 4, 2)]
+        assert cfg.to_dict()["field"]["params"]["velocity"] == [0.0, 0.0]
+
+    def test_trajectory_field_built_once_per_sweep(self, tmp_path, monkeypatch):
+        built = []
+        benchmark_field = harness.benchmark_field
+
+        def counted(*args, **kwargs):
+            built.append(args or kwargs)
+            return benchmark_field(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "benchmark_field", counted)
+        cfg = ExperimentConfig.from_dict(_trajectory_raw())
+        table = run_trajectory_experiment(cfg, tmp_path)
+        assert [r.status for r in table.rows] == ["ok", "ok"]
+        assert len(built) == 1
 
     def test_translate_target_builds_shifted_ensemble(self):
         cfg = ExperimentConfig.from_dict(_endpoint_raw())

@@ -221,6 +221,24 @@ class TestSampleMeasure:
         with pytest.raises(MeasureSpecError):
             sample_measure(spec, 3, 0)
 
+    @pytest.mark.parametrize(
+        "kind, params",
+        [
+            ("uniform-ball", {"radus": 5.0}),
+            ("gaussian-truncated", {"sd": 3.0, "region": {"kind": "ball", "center": [0.0], "radius": 1.0}}),
+            (
+                "gaussian-mixture-truncated",
+                {
+                    "components": [{"mean": [0.0], "sd": 0.3}],
+                    "region": {"kind": "ball", "center": [0.0], "radius": 1.0},
+                },
+            ),
+        ],
+    )
+    def test_unknown_param_rejected(self, kind, params):
+        with pytest.raises(MeasureSpecError, match="takes no param"):
+            sample_measure(MeasureSpec(kind, params), 10, 0)
+
     def test_unknown_kind(self):
         with pytest.raises(MeasureSpecError):
             sample_measure(MeasureSpec("cauchy", {}), 10, 0)
