@@ -4,7 +4,9 @@ An experiment config (strict JSON) names an initial measure, a target (a
 benchmark field or a target measure), the synthesis settings and the
 integrator settings. The synthesis section takes n_avg, m_width and n_osc,
 each a value or a sweep list, plus fit_tolerance, region_margin and seed;
-the fit itself has no tuning keys. Running it produces ``results.csv`` with
+the fit itself has no tuning keys. Every sweep point's knobs are checked at
+the parse, so a sweep whose schedule would exceed the piece cap is a config
+error. Running it produces ``results.csv`` with
 one row per sweep coordinate, a JSON manifest, and per-row
 schedule/trajectory artifacts under ``rows/<key>/``. Every row runs
 in this process on the one set of inputs and the one reference the sweep
@@ -29,7 +31,7 @@ import shutil
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 from itertools import product
 from pathlib import Path
@@ -44,14 +46,11 @@ from .synthesis import (
     DISPLACEMENT_HORIZON,
     SynthesisParams,
     WindowFits,
-    _check_piece_cap,
     displacement_target_field,
     fit_windows,
     schedule_windows,
 )
 from .transport import sup_w2, w2_exact
-
-RESULTS_HEADER = "n_avg,m,n_osc,sup_w2,final_w2,max_fit_err,pieces,wall_s,status"
 
 
 class ConfigError(ValueError):
@@ -142,10 +141,11 @@ class ExperimentConfig:
         kind = raw["kind"]
         if kind not in ("trajectory", "endpoint"):
             raise ConfigError(f"kind must be 'trajectory' or 'endpoint', got {kind!r}")
-        if kind == "trajectory" and "field" not in raw:
-            raise ConfigError("trajectory config needs a 'field' entry")
-        if kind == "endpoint" and "target_measure" not in raw:
-            raise ConfigError("endpoint config needs a 'target_measure' entry")
+        target, other = ("field", "target_measure") if kind == "trajectory" else ("target_measure", "field")
+        if target not in raw:
+            raise ConfigError(f"{kind} config needs a '{target}' entry")
+        if other in raw:
+            raise ConfigError(f"{kind} config takes no '{other}' entry")
         syn_allowed = {"n_avg", "m_width", "n_osc", "fit_tolerance", "region_margin", "seed"}
         syn = _object(raw["synthesis"], "synthesis", syn_allowed)
         integ_allowed = {"method", "base_step", "snap_count", "snap_times"}
@@ -200,10 +200,10 @@ class ExperimentConfig:
                         raise ConfigError(f"{key} must be a path string")
                     config[key] = raw[key]
 
-            # Checks the synthesis knobs, the integrator and the snap times
-            # against the field's horizon now, so a bad value fails the parse
-            # instead of every row or the sweep after its output directory
-            # exists.
+            # Checks the synthesis knobs (the piece cap included), the
+            # integrator and the snap times against the field's horizon now,
+            # so a bad value fails the parse instead of every row or the
+            # sweep after its output directory exists.
             benchmark = benchmark_field(**config["field"]) if kind == "trajectory" else None
             cfg = ExperimentConfig(config, benchmark)
             for coords in cfg.sweep_points():
@@ -306,9 +306,24 @@ def row_key(coords) -> str:
     return f"navg{n_avg}_m{m}_nosc{n_osc}"
 
 
+# results.csv columns in order: (ResultRow field, CSV format, type read back)
+_COLUMNS = (
+    ("n_avg", "%d", int),
+    ("m", "%d", int),
+    ("n_osc", "%d", int),
+    ("sup_w2", "%.12g", float),
+    ("final_w2", "%.12g", float),
+    ("max_fit_err", "%.12g", float),
+    ("pieces", "%d", int),
+    ("wall_s", "%.3f", float),
+    ("status", "%s", str),
+)
+RESULTS_HEADER = ",".join(name for name, _, _ in _COLUMNS)
+
+
 @dataclass(frozen=True)
 class ResultRow:
-    """One sweep coordinate's outcome."""
+    """One sweep coordinate's outcome: the results.csv columns plus an error."""
 
     n_avg: int
     m: int
@@ -330,50 +345,17 @@ class ResultRow:
         return row_key(self.coords)
 
     def to_csv_line(self) -> str:
-        return ",".join(
-            [
-                str(self.n_avg),
-                str(self.m),
-                str(self.n_osc),
-                "%.12g" % self.sup_w2,
-                "%.12g" % self.final_w2,
-                "%.12g" % self.max_fit_err,
-                str(self.pieces),
-                "%.3f" % self.wall_s,
-                self.status,
-            ]
-        )
+        return ",".join(fmt % getattr(self, name) for name, fmt, _ in _COLUMNS)
 
     def to_dict(self) -> dict:
-        d = {
-            "n_avg": self.n_avg,
-            "m": self.m,
-            "n_osc": self.n_osc,
-            "sup_w2": self.sup_w2,
-            "final_w2": self.final_w2,
-            "max_fit_err": self.max_fit_err,
-            "pieces": self.pieces,
-            "wall_s": self.wall_s,
-            "status": self.status,
-        }
-        if self.error is not None:
-            d["error"] = self.error
+        d = asdict(self)
+        if self.error is None:
+            del d["error"]
         return d
 
     @staticmethod
     def from_dict(d: Mapping) -> "ResultRow":
-        return ResultRow(
-            n_avg=int(d["n_avg"]),
-            m=int(d["m"]),
-            n_osc=int(d["n_osc"]),
-            sup_w2=float(d["sup_w2"]),
-            final_w2=float(d["final_w2"]),
-            max_fit_err=float(d["max_fit_err"]),
-            pieces=int(d["pieces"]),
-            wall_s=float(d["wall_s"]),
-            status=str(d["status"]),
-            error=d.get("error"),
-        )
+        return ResultRow(**{name: kind(d[name]) for name, _, kind in _COLUMNS}, error=d.get("error"))
 
 
 @dataclass(frozen=True)
@@ -464,13 +446,13 @@ def compute_row(
     mu0, muf, vf = inputs
     window_fits = window_fits or _FitMemo(partial(fit_windows, vf, mu0))
     params = cfg.synthesis_params(coords)
-    _check_piece_cap(params)
     result = schedule_windows(window_fits(params), params)
     synthesized = integrate_flow(result.schedule, mu0, cfg.integrator(vf.horizon))
+    fits = result.report.fits
     report = result.report.to_json_dict()
     # the synthesized flow's containment in Omega = B_{R+r}(0), where the fit holds
     report["support_growth"] = support_growth_check(
-        synthesized, report["support_radius"], report["region_R"], report["bound_C"] + report["delta"]
+        synthesized, fits.support_radius, fits.region_R, fits.bound_C + fits.delta
     ).to_dict()
     sup_err = sup_w2(synthesized, reference)
     final_err = w2_exact(synthesized.final, reference.final if muf is None else muf).distance
@@ -587,12 +569,12 @@ def _write_manifest(cfg: ExperimentConfig, out_dir: Path, rows: Sequence[ResultR
 
 
 def _run_experiment(cfg: ExperimentConfig, kind: str, out_dir, parallel: int, resume: bool) -> ResultTable:
-    """Run every pending row of a ``kind`` config on the sweep's shared inputs and reference.
+    """Run every row of a ``kind`` config on the sweep's shared inputs and reference.
 
     Rows that share (n_avg, m_width) share one fit: the sweep's
     :class:`_FitMemo`, dropped when the sweep returns, fits each key once, in
     the ``wall_s`` of the row that needs it first. ``parallel > 1`` runs rows
-    on up to that many worker threads (at most one per pending row), where
+    on up to that many worker threads (at most one per row), where
     fits of different keys may run at the same time; otherwise rows run in
     order on the calling thread. With ``resume``, a row computed under the
     same config (see :func:`_config_fingerprint`) whose artifacts remain is
@@ -609,35 +591,20 @@ def _run_experiment(cfg: ExperimentConfig, kind: str, out_dir, parallel: int, re
     (out_dir / "rows").mkdir(exist_ok=True)
     reference = _prepare_shared(cfg, out_dir, inputs)
 
-    points = cfg.sweep_points()
     fingerprint = _config_fingerprint(cfg)
-    rows_by_coords = {}
-    pending = []
-    for coords in points:
-        prior = _load_completed_row(out_dir, coords, fingerprint) if resume else None
-        if prior is not None:
-            rows_by_coords[coords] = prior
-        else:
-            pending.append(coords)
-
     mu0, _, vf = inputs
     window_fits = _FitMemo(partial(fit_windows, vf, mu0))
-    run_row = partial(
-        _execute_row,
-        cfg,
-        out_dir,
-        inputs=inputs,
-        reference=reference,
-        window_fits=window_fits,
-        fingerprint=fingerprint,
-    )
+
+    def run_row(coords) -> ResultRow:
+        prior = _load_completed_row(out_dir, coords, fingerprint) if resume else None
+        return prior or _execute_row(cfg, out_dir, coords, inputs, reference, window_fits, fingerprint)
+
+    points = cfg.sweep_points()
     if parallel > 1:
         with ThreadPoolExecutor(max_workers=parallel) as pool:
-            rows_by_coords.update(zip(pending, pool.map(run_row, pending)))
+            rows = tuple(pool.map(run_row, points))
     else:
-        rows_by_coords.update(zip(pending, map(run_row, pending)))
-
-    rows = tuple(rows_by_coords[c] for c in points)
+        rows = tuple(map(run_row, points))
     _write_results_csv(out_dir, rows)
     _write_manifest(cfg, out_dir, rows)
     return ResultTable(config=cfg, rows=rows, out_dir=out_dir)

@@ -105,9 +105,13 @@ class Region:
 
     @staticmethod
     def from_dict(d: Mapping) -> "Region":
-        kind = d["kind"]
-        extent = d["radius"] if kind == "ball" else d["halfwidths"]
-        return Region(kind, np.asarray(d["center"], dtype=float), np.asarray(extent, dtype=float))
+        """A region entry: kind, center and a ball's radius or a box's halfwidths, no other key."""
+        kind = d.get("kind")
+        extent = "radius" if kind == "ball" else "halfwidths"
+        keys = {"kind", "center", extent}
+        if set(d) != keys:
+            raise MeasureSpecError(f"{kind} region takes keys {sorted(keys)}, got {sorted(d)}")
+        return Region(kind, np.asarray(d["center"], dtype=float), np.asarray(d[extent], dtype=float))
 
 
 @dataclass(frozen=True)
@@ -254,8 +258,8 @@ def _check_params(spec: MeasureSpec) -> None:
         raise MeasureSpecError(f"{spec.kind} takes no param(s) {sorted(unknown)}")
 
 
-def _spec_region(spec: MeasureSpec) -> Region:
-    """The declared truncation region every sample must land inside."""
+def _spec_region(spec: MeasureSpec) -> Optional[Region]:
+    """The declared truncation region every sample must land inside; None for explicit points."""
     kind, params = spec.kind, spec.params
     if kind == "uniform-ball":
         center = np.atleast_1d(np.asarray(params.get("center", [0.0, 0.0]), dtype=float))
@@ -279,11 +283,7 @@ def _spec_region(spec: MeasureSpec) -> Region:
         cy = center[1] + scale * 0.125
         hw = np.array([scale * 1.5 + pad, scale * 0.875 + pad])
         return Region("box", np.array([cx, cy]), hw)
-    # explicit-points
-    pts = np.atleast_2d(np.asarray(params["points"], dtype=float))
-    center = 0.5 * (pts.min(axis=0) + pts.max(axis=0))
-    hw = np.maximum(0.5 * (pts.max(axis=0) - pts.min(axis=0)), 1e-9)
-    return Region("box", center, hw)
+    return None
 
 
 def _two_moons_draw(rng: np.random.Generator, params: Mapping):
@@ -306,10 +306,10 @@ def _two_moons_draw(rng: np.random.Generator, params: Mapping):
 def sample_measure(spec: MeasureSpec, n: int, seed: int) -> ParticleEnsemble:
     """Draw a seeded n-point ensemble from the spec'd distribution.
 
-    Deterministic given (spec, n, seed); every point lies inside the spec's
-    truncation region. Raises :class:`MeasureSpecError` for an unknown kind,
-    a param the kind does not read or a bad param value, and ``ValueError``
-    for n < 1.
+    Deterministic given (spec, n, seed); every drawn point lies inside the
+    spec's truncation region, and explicit points are taken as given. Raises
+    :class:`MeasureSpecError` for an unknown kind, a param the kind does not
+    read or a bad param value, and ``ValueError`` for n < 1.
     """
     if n < 1:
         raise ValueError("sample_measure needs n >= 1")
@@ -359,6 +359,9 @@ def sample_measure(spec: MeasureSpec, n: int, seed: int) -> ParticleEnsemble:
         pts = _rejection_sample(_two_moons_draw(rng, params), region, n)
     else:  # explicit-points
         pts = np.atleast_2d(np.asarray(params["points"], dtype=float))
+        bad = np.flatnonzero(~np.all(np.isfinite(pts), axis=1))
+        if bad.size:
+            raise MeasureSpecError(f"explicit-points entries {bad.tolist()} are not finite")
         if pts.shape[0] != n:
             raise MeasureSpecError(f"explicit-points has {pts.shape[0]} points, n = {n}")
 

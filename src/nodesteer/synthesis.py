@@ -8,7 +8,10 @@ solve whose scale, ridge weight and grid are fixed constants; it depends on
 nothing but its inputs. The schedule stage (:func:`schedule_windows`)
 switches each fitted superposition in a periodic oscillation whose
 period-mean reproduces it exactly. Only the schedule stage reads the period
-count n_osc, so one fit serves every n_osc. A schedule's pieces are single
+count n_osc, so one fit serves every n_osc. :class:`SynthesisParams` rejects
+knobs whose schedule would exceed ``MAX_SCHEDULE_PIECES`` pieces, so no stage
+checks the cap again, and a run's :class:`SynthesisReport` is a view of the
+fit stage's :class:`WindowFits`. A schedule's pieces are single
 logistic terms (:class:`~nodesteer.fields.NeuralTerm`), so ``schedule.json``
 records ``"activation": "logistic"`` and loading accepts no other value. A
 displacement-interpolation target builder covers the steering problem between
@@ -94,6 +97,8 @@ class SynthesisParams:
     window; fit_tolerance: sup-norm fit target delta; n_osc: oscillation
     period count per window; region_margin: multiplier sizing the fitting
     set, must exceed 1 so the support-growth window condition holds strictly.
+    The schedule's n_avg * m_width * n_osc pieces may not exceed
+    MAX_SCHEDULE_PIECES.
     """
 
     n_avg: int = 1
@@ -110,6 +115,9 @@ class SynthesisParams:
             raise ValueError("fit_tolerance must be positive")
         if not self.region_margin > 1:
             raise ValueError("region_margin must exceed 1")
+        total_pieces = self.n_avg * self.m_width * self.n_osc
+        if total_pieces > MAX_SCHEDULE_PIECES:
+            raise ValueError(f"{total_pieces} pieces exceed the {MAX_SCHEDULE_PIECES} schedule cap")
 
     def to_dict(self) -> dict:
         return {
@@ -305,58 +313,6 @@ def oscillation_schedule(nf: NeuralField, window, N: int) -> ControlSchedule:
 
 
 @dataclass(frozen=True)
-class SynthesisReport:
-    """Everything needed to audit one synthesis run."""
-
-    params: SynthesisParams
-    support_radius: float
-    region_R: float
-    omega_radius: float
-    bound_C: float
-    delta: float
-    window_fits: tuple
-    piece_count: int
-    tolerance_met: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "params": self.params.to_dict(),
-            "activation": "logistic",
-            "support_radius": self.support_radius,
-            "region_R": self.region_R,
-            "omega_radius": self.omega_radius,
-            "bound_C": self.bound_C,
-            "delta": self.delta,
-            "window_fits": [dict(w) for w in self.window_fits],
-            "piece_count": self.piece_count,
-            "tolerance_met": self.tolerance_met,
-        }
-
-    @property
-    def max_fit_error(self) -> float:
-        return max((w["sup_error"] for w in self.window_fits), default=0.0)
-
-
-@dataclass(frozen=True)
-class SynthesisResult:
-    schedule: ControlSchedule
-    report: SynthesisReport
-
-
-def _window_seeds(seed: int, count: int) -> list:
-    return [int(s) for s in np.random.SeedSequence(seed).generate_state(count)]
-
-
-def _check_piece_cap(params: SynthesisParams) -> None:
-    """Reject a schedule of more than MAX_SCHEDULE_PIECES pieces before any fitting."""
-    total_pieces = params.n_avg * params.m_width * params.n_osc
-    if total_pieces > MAX_SCHEDULE_PIECES:
-        raise ValueError(
-            f"{total_pieces} pieces exceed the {MAX_SCHEDULE_PIECES} schedule cap"
-        )
-
-
-@dataclass(frozen=True)
 class WindowFits:
     """The fit stage's output: Omega's sizing and one superposition per window.
 
@@ -371,6 +327,52 @@ class WindowFits:
     delta: float
     windows: tuple  # (a, b) per averaging window, in time order
     fits: tuple  # SuperpositionFit per window
+
+
+@dataclass(frozen=True)
+class SynthesisReport:
+    """Everything needed to audit one synthesis run, as a view of its window fits."""
+
+    params: SynthesisParams
+    fits: WindowFits
+    piece_count: int
+
+    @property
+    def omega_radius(self) -> float:
+        return self.fits.region_R + self.fits.support_radius
+
+    @property
+    def tolerance_met(self) -> bool:
+        return all(f.tolerance_met for f in self.fits.fits)
+
+    @property
+    def max_fit_error(self) -> float:
+        return max((f.sup_error for f in self.fits.fits), default=0.0)
+
+    def to_json_dict(self) -> dict:
+        fits = self.fits
+        return {
+            "params": self.params.to_dict(),
+            "activation": "logistic",
+            "support_radius": fits.support_radius,
+            "region_R": fits.region_R,
+            "omega_radius": self.omega_radius,
+            "bound_C": fits.bound_C,
+            "delta": fits.delta,
+            "window_fits": [{"window": list(w), **f.to_dict()} for w, f in zip(fits.windows, fits.fits)],
+            "piece_count": self.piece_count,
+            "tolerance_met": self.tolerance_met,
+        }
+
+
+@dataclass(frozen=True)
+class SynthesisResult:
+    schedule: ControlSchedule
+    report: SynthesisReport
+
+
+def _window_seeds(seed: int, count: int) -> list:
+    return [int(s) for s in np.random.SeedSequence(seed).generate_state(count)]
 
 
 def fit_windows(
@@ -418,12 +420,10 @@ def schedule_windows(fits: WindowFits, params: SynthesisParams) -> SynthesisResu
 
     Concatenates the window schedules and reports the run under params. A
     window whose fit is identically zero gets one quiescent piece instead.
-    The caller checks the piece cap first (:func:`_check_piece_cap`).
     """
     d = fits.dim
     all_breakpoints = [0.0]
     all_pieces = []
-    window_fits = []
     for (a, b), fit in zip(fits.windows, fits.fits):
         if all(np.all(t.A == 0.0) for t in fit.field.terms):
             # zero window: a single quiescent piece instead of an oscillation
@@ -435,21 +435,9 @@ def schedule_windows(fits: WindowFits, params: SynthesisParams) -> SynthesisResu
             window_schedule = oscillation_schedule(fit.field, (a, b), params.n_osc)
         all_breakpoints.extend(window_schedule.breakpoints[1:].tolist())
         all_pieces.extend(window_schedule.pieces)
-        window_fits.append({"window": [a, b], **fit.to_dict()})
 
     schedule = ControlSchedule(np.asarray(all_breakpoints), all_pieces)
-    report = SynthesisReport(
-        params=params,
-        support_radius=fits.support_radius,
-        region_R=fits.region_R,
-        omega_radius=fits.region_R + fits.support_radius,
-        bound_C=fits.bound_C,
-        delta=fits.delta,
-        window_fits=tuple(window_fits),
-        piece_count=schedule.piece_count,
-        tolerance_met=all(w["tolerance_met"] for w in window_fits),
-    )
-    return SynthesisResult(schedule, report)
+    return SynthesisResult(schedule, SynthesisReport(params, fits, schedule.piece_count))
 
 
 def synthesize_controls(
@@ -459,10 +447,9 @@ def synthesize_controls(
 ) -> SynthesisResult:
     """Run the full synthesis pipeline against a declared-bound target field.
 
-    Checks the piece cap, then runs the fit stage (:func:`fit_windows`) and
-    the schedule stage (:func:`schedule_windows`) at params.n_osc.
+    Runs the fit stage (:func:`fit_windows`) and the schedule stage
+    (:func:`schedule_windows`) at params.n_osc.
     """
-    _check_piece_cap(params)
     return schedule_windows(fit_windows(vf, mu0, params), params)
 
 

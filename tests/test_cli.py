@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +8,7 @@ from nodesteer.flow import MeasureTrajectory
 from nodesteer.harness import ConfigError, ExperimentConfig
 from nodesteer.synthesis import ControlSchedule
 
+CONFIGS = Path(__file__).parent / "configs"
 
 def _write(tmp_path, name, payload):
     path = tmp_path / name
@@ -280,6 +282,14 @@ class TestConfigErrors:
             pytest.param("integrator", {"snap_times": [0, 0.5, 2.0]}, id="snap-times-past-horizon"),
             pytest.param(
                 None,
+                _trajectory_payload(target_measure={"kind": "translate-of-initial", "params": {"offset": [0.5, 0.0]}}),
+                id="trajectory-with-target-measure",
+            ),
+            pytest.param(
+                None, _endpoint_payload(field={"name": "bogus", "params": {}}), id="endpoint-with-field"
+            ),
+            pytest.param(
+                None,
                 _endpoint_payload(integrator={"snap_times": [0, 0.5, 2.0]}),
                 id="endpoint-snap-times-past-horizon",
             ),
@@ -314,6 +324,33 @@ class TestConfigErrors:
         cfg = _write(tmp_path, "cfg.json", payload(initial_measure={"kind": "blob", "params": {}}))
         out = tmp_path / "o"
         assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "mangle, message",
+        [
+            (
+                lambda m: m["params"]["region"].update(radus=5.0),
+                "ball region takes keys ['center', 'kind', 'radius'], got ['center', 'kind', 'radius', 'radus']",
+            ),
+            (
+                lambda m: m["params"]["region"].pop("radius"),
+                "ball region takes keys ['center', 'kind', 'radius'], got ['center', 'kind']",
+            ),
+            (
+                lambda m: m.update(kind="explicit-points", params={"points": [[0.0, 0.0], [float("nan"), 1.0]]}),
+                "explicit-points entries [1] are not finite",
+            ),
+        ],
+        ids=["region-unknown-key", "region-missing-radius", "explicit-points-nan"],
+    )
+    def test_bad_initial_measure_writes_nothing(self, mangle, message, tmp_path, capsys):
+        payload = json.loads((CONFIGS / "translation_endpoint.json").read_text())
+        mangle(payload["initial_measure"])
+        cfg = _write(tmp_path, "cfg.json", payload)
+        out = tmp_path / "o"
+        assert main(["endpoint", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(

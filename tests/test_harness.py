@@ -11,11 +11,11 @@ import pytest
 
 import nodesteer.harness as harness
 import nodesteer.synthesis as synthesis
+from nodesteer.cli import EXIT_CONFIG, main
 from nodesteer.flow import MeasureTrajectory, support_growth_check
 from nodesteer.measures import ParticleEnsemble
 from nodesteer.synthesis import SynthesisParams
 from nodesteer.harness import (
-    RESULTS_HEADER,
     ConfigError,
     ExperimentConfig,
     ResultRow,
@@ -320,7 +320,7 @@ class TestTrajectoryExperiment:
         assert (tmp_path / "mu0.csv").exists()
         assert (tmp_path / "reference" / "trajectory.json").exists()
         text = (tmp_path / "results.csv").read_text()
-        assert text.splitlines()[0] == RESULTS_HEADER
+        assert text.splitlines()[0] == "n_avg,m,n_osc,sup_w2,final_w2,max_fit_err,pieces,wall_s,status"
         assert len(text.strip().splitlines()) == 3
         for row in table.rows:
             row_dir = tmp_path / "rows" / row.key
@@ -643,12 +643,16 @@ class TestSharedFits:
                 shared = (tmp_path / "all" / "rows" / key / rel).read_bytes()
                 assert shared == (one / "rows" / key / rel).read_bytes(), rel
 
-    def test_piece_cap_fails_the_row_before_any_fit(self, tmp_path, monkeypatch):
+    def test_piece_cap_fails_the_parse_before_any_fit(self, tmp_path, monkeypatch):
         widths = _count_fits(monkeypatch)
         raw = _trajectory_raw()
-        raw["synthesis"].update(m_width=1000, n_osc=1001)
-        (row,) = run_trajectory_experiment(ExperimentConfig.from_dict(raw), tmp_path).rows
-        assert row.error == "ValueError: 1001000 pieces exceed the 1000000 schedule cap"
+        raw["synthesis"].update(m_width=1000, n_osc=[1, 1001])
+        with pytest.raises(ConfigError, match="1001000 pieces exceed the 1000000 schedule cap"):
+            ExperimentConfig.from_dict(raw)
+        cfg, out = tmp_path / "cfg.json", tmp_path / "out"
+        cfg.write_text(json.dumps(raw))
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
         assert widths == []
 
     def test_memo_fits_each_key_once_under_contention(self):

@@ -7,6 +7,8 @@ sources are read, not executed.
 
 import ast
 import importlib
+import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -45,3 +47,47 @@ def test_traced_functions_resolve():
     assert functions
     for module, attr in functions:
         assert hasattr(importlib.import_module(module), attr), f"{module} has no {attr}"
+
+
+def _perfbench_spans(monkeypatch):
+    spec = importlib.util.spec_from_file_location("perfbench_spans", ROOT / "perfbench" / "spans.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_instrument_patches_and_restores_its_targets(monkeypatch):
+    """Tracing patches every function and method the benchmark names, and restores each on exit."""
+    import nodesteer.cli  # noqa: F401  (loads every module a sweep calls through)
+    from nodesteer.fields import VectorFieldSpec
+    from nodesteer.flow import MeasureTrajectory
+    from nodesteer.synthesis import ControlSchedule
+
+    spans = _perfbench_spans(monkeypatch)
+    owners = [m for n, m in sorted(sys.modules.items()) if n == "nodesteer" or n.startswith("nodesteer.")]
+    owners += [MeasureTrajectory, VectorFieldSpec, ControlSchedule]
+    missing = object()
+
+    def changed(a, b):
+        return {
+            (owner.__name__, attr)
+            for owner, x, y in zip(owners, a, b)
+            for attr in x.keys() | y.keys()
+            if x.get(attr, missing) is not y.get(attr, missing)
+        }
+
+    before = [dict(vars(owner)) for owner in owners]
+    with spans.instrument(spans.Tracer()):
+        during = [dict(vars(owner)) for owner in owners]
+    after = [dict(vars(owner)) for owner in owners]
+
+    patched = changed(before, during)
+    assert set(spans.FUNCTIONS) <= patched
+    assert {
+        ("MeasureTrajectory", "save"),
+        ("MeasureTrajectory", "load"),
+        ("VectorFieldSpec", "velocity"),
+        ("ControlSchedule", "static_piece"),
+    } <= patched
+    assert changed(before, after) == set()

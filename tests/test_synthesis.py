@@ -285,10 +285,10 @@ class TestSynthesizeControls:
         vf = benchmark_field("rotation", {"omega": 1.0})
         mu0 = self._mu0()
         params = SynthesisParams(n_avg=1, m_width=8, fit_tolerance=0.1, n_osc=1, region_margin=1.5)
-        result = synthesize_controls(vf, mu0, params)
-        r = result.report.support_radius
-        assert result.report.region_R == pytest.approx(1.5 * 1.0 * (vf.bound_C + 0.1), abs=1e-12)
-        assert result.report.omega_radius == pytest.approx(result.report.region_R + r, abs=1e-12)
+        report = synthesize_controls(vf, mu0, params).report
+        r = report.fits.support_radius
+        assert report.fits.region_R == pytest.approx(1.5 * 1.0 * (vf.bound_C + 0.1), abs=1e-12)
+        assert report.omega_radius == pytest.approx(report.fits.region_R + r, abs=1e-12)
 
     def test_schedule_covers_horizon(self):
         vf = benchmark_field("rotation", {"omega": 1.0})
@@ -340,10 +340,9 @@ class TestSynthesizeControls:
         assert errors[8] < errors[1] / 2.0
 
     def test_piece_cap(self):
-        vf = benchmark_field("rotation", {"omega": 1.0})
-        params = SynthesisParams(n_avg=100, m_width=101, n_osc=100)
-        with pytest.raises(ValueError):
-            synthesize_controls(vf, self._mu0(), params)
+        SynthesisParams(n_avg=100, m_width=100, n_osc=100)
+        with pytest.raises(ValueError, match="1010000 pieces exceed the 1000000 schedule cap"):
+            SynthesisParams(n_avg=100, m_width=101, n_osc=100)
 
     def test_deterministic(self):
         vf = benchmark_field("rotation", {"omega": 1.0})
