@@ -13,6 +13,10 @@ kinds are
 Every term's activation Sigma is the logistic function :func:`logistic`,
 whose Lipschitz constant is 1/4. A term :class:`NeuralTerm` evaluates itself,
 and a superposition sums its terms' calls.
+
+Each named analytic field of :func:`benchmark_field` is a function on the
+registry helper of :mod:`nodesteer.measures` that reads its params by the
+number rule measure params follow; the shared ``horizon`` is read once.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from typing import Callable, Mapping, Optional, Sequence
 import numpy as np
 from scipy.spatial.distance import pdist, squareform
 
-from .measures import Region
+from .measures import Region, _number, _numbers, _Registry
 
 
 class BoundDeclarationError(ValueError):
@@ -219,7 +223,7 @@ class VectorFieldSpec:
     The declarations are trusted inputs downstream (support growth, window
     sizing), so construction cross-checks them against sampled estimates over
     the declared region and rejects declarations the samples exceed by more
-    than 5%.
+    than 5%. Its dimension is the region's.
     """
 
     def __init__(
@@ -228,7 +232,6 @@ class VectorFieldSpec:
         bound_C: float,
         lipschitz_K: float,
         horizon: float,
-        dim: int,
         region: Region,
         name: Optional[str] = None,
         params: Optional[dict] = None,
@@ -243,7 +246,7 @@ class VectorFieldSpec:
         self.bound_C = float(bound_C)
         self.lipschitz_K = float(lipschitz_K)
         self.horizon = float(horizon)
-        self.dim = int(dim)
+        self.dim = region.dim
         self.region = region
         self.name = name
         self.params = dict(params) if params else {}
@@ -268,26 +271,20 @@ class VectorFieldSpec:
 # -- analytic benchmark fields -------------------------------------------------
 
 
-# name: (the function that builds the field, the params it reads)
-_BENCHMARKS = {}
+# each field returns VectorFieldSpec's keyword arguments but the horizon and
+# the name, which benchmark_field adds
+_BENCHMARKS = _Registry("benchmark field", ValueError, "horizon")
 
 
-def _benchmark(name: str, *params: str):
-    """Register the decorated function as the benchmark ``name``, which reads ``params``."""
-
-    def register(build):
-        _BENCHMARKS[name] = (build, frozenset(params))
-        return build
-
-    return register
+def _ball(params: Mapping, center: np.ndarray) -> Region:
+    """The ball about center whose radius is the ``radius`` param, 2.0 by default."""
+    return Region("ball", center, np.array([_number(params.get("radius", 2.0), "radius")]))
 
 
-@_benchmark("rotation", "omega", "radius", "horizon")
-def _rotation_spec(params: Mapping) -> VectorFieldSpec:
-    omega = float(params["omega"])
-    radius = float(params.get("radius", 2.0))
-    horizon = float(params.get("horizon", 1.0))
-    region = Region("ball", np.zeros(2), np.array([radius]))
+@_BENCHMARKS.register("rotation", "omega", "radius")
+def _rotation_spec(params: Mapping) -> dict:
+    omega = _number(params["omega"], "omega")
+    region = _ball(params, np.zeros(2))
 
     def evaluator(t, x):
         return omega * np.stack([-x[:, 1], x[:, 0]], axis=1)
@@ -297,25 +294,20 @@ def _rotation_spec(params: Mapping) -> VectorFieldSpec:
         rot = np.array([[c, -s], [s, c]])
         return x @ rot.T
 
-    return VectorFieldSpec(
-        evaluator,
-        bound_C=abs(omega) * radius,
+    return dict(
+        evaluator=evaluator,
+        bound_C=abs(omega) * region.radius,
         lipschitz_K=abs(omega),
-        horizon=horizon,
-        dim=2,
         region=region,
-        name="rotation",
-        params={"omega": omega, "radius": radius, "horizon": horizon},
+        params={"omega": omega, "radius": region.radius},
         analytic_flow=flow,
     )
 
 
-@_benchmark("translation", "velocity", "radius", "horizon")
-def _translation_spec(params: Mapping) -> VectorFieldSpec:
-    v = np.atleast_1d(np.asarray(params["velocity"], dtype=float))
-    radius = float(params.get("radius", 2.0))
-    horizon = float(params.get("horizon", 1.0))
-    region = Region("ball", np.zeros(v.size), np.array([radius]))
+@_BENCHMARKS.register("translation", "velocity", "radius")
+def _translation_spec(params: Mapping) -> dict:
+    v = np.atleast_1d(_numbers(params["velocity"], "velocity"))
+    region = _ball(params, np.zeros(v.size))
 
     def evaluator(t, x):
         return np.broadcast_to(v, x.shape).copy()
@@ -323,28 +315,23 @@ def _translation_spec(params: Mapping) -> VectorFieldSpec:
     def flow(t, x):
         return x + t * v
 
-    return VectorFieldSpec(
-        evaluator,
+    return dict(
+        evaluator=evaluator,
         bound_C=float(np.linalg.norm(v)),
         lipschitz_K=0.0,
-        horizon=horizon,
-        dim=v.size,
         region=region,
-        name="translation",
-        params={"velocity": v.tolist(), "radius": radius, "horizon": horizon},
+        params={"velocity": v.tolist(), "radius": region.radius},
         analytic_flow=flow,
     )
 
 
-@_benchmark("contraction-to-point", "rate", "center", "radius", "horizon")
-def _contraction_spec(params: Mapping) -> VectorFieldSpec:
-    rate = float(params.get("rate", 1.0))
+@_BENCHMARKS.register("contraction-to-point", "rate", "center", "radius")
+def _contraction_spec(params: Mapping) -> dict:
+    rate = _number(params.get("rate", 1.0), "rate")
     if rate <= 0:
         raise ValueError("contraction rate must be positive")
-    center = np.atleast_1d(np.asarray(params.get("center", [0.0, 0.0]), dtype=float))
-    radius = float(params.get("radius", 2.0))
-    horizon = float(params.get("horizon", 1.0))
-    region = Region("ball", center, np.array([radius]))
+    center = np.atleast_1d(_numbers(params.get("center", [0.0, 0.0]), "center"))
+    region = _ball(params, center)
 
     def evaluator(t, x):
         return -rate * (x - center)
@@ -352,25 +339,20 @@ def _contraction_spec(params: Mapping) -> VectorFieldSpec:
     def flow(t, x):
         return center + (x - center) * np.exp(-rate * t)
 
-    return VectorFieldSpec(
-        evaluator,
-        bound_C=rate * radius,
+    return dict(
+        evaluator=evaluator,
+        bound_C=rate * region.radius,
         lipschitz_K=rate,
-        horizon=horizon,
-        dim=center.size,
         region=region,
-        name="contraction-to-point",
-        params={"rate": rate, "center": center.tolist(), "radius": radius, "horizon": horizon},
+        params={"rate": rate, "center": center.tolist(), "radius": region.radius},
         analytic_flow=flow,
     )
 
 
-@_benchmark("shear", "rate", "radius", "horizon")
-def _shear_spec(params: Mapping) -> VectorFieldSpec:
-    rate = float(params.get("rate", 1.0))
-    radius = float(params.get("radius", 2.0))
-    horizon = float(params.get("horizon", 1.0))
-    region = Region("ball", np.zeros(2), np.array([radius]))
+@_BENCHMARKS.register("shear", "rate", "radius")
+def _shear_spec(params: Mapping) -> dict:
+    rate = _number(params.get("rate", 1.0), "rate")
+    region = _ball(params, np.zeros(2))
 
     def evaluator(t, x):
         out = np.zeros_like(x)
@@ -382,58 +364,43 @@ def _shear_spec(params: Mapping) -> VectorFieldSpec:
         out[:, 0] = out[:, 0] + t * rate * x[:, 1]
         return out
 
-    return VectorFieldSpec(
-        evaluator,
-        bound_C=abs(rate) * radius,
+    return dict(
+        evaluator=evaluator,
+        bound_C=abs(rate) * region.radius,
         lipschitz_K=abs(rate),
-        horizon=horizon,
-        dim=2,
         region=region,
-        name="shear",
-        params={"rate": rate, "radius": radius, "horizon": horizon},
+        params={"rate": rate, "radius": region.radius},
         analytic_flow=flow,
     )
 
 
-@_benchmark("neural-static", "terms", "activation", "radius", "horizon")
-def _neural_static_spec(params: Mapping) -> VectorFieldSpec:
+@_BENCHMARKS.register("neural-static", "terms", "activation", "radius")
+def _neural_static_spec(params: Mapping) -> dict:
     activation = params.get("activation", "logistic")
     if activation != "logistic":
         raise ValueError(f"neural-static terms are logistic, got activation {activation!r}")
-    nf = NeuralField(tuple(NeuralTerm.from_dict(t) for t in params["terms"]))
-    radius = float(params.get("radius", 2.0))
-    horizon = float(params.get("horizon", 1.0))
-    region = Region("ball", np.zeros(nf.dim), np.array([radius]))
+    nf = NeuralField(
+        tuple(NeuralTerm(*(_numbers(t[key], f"terms {key}") for key in ("A", "W", "theta"))) for t in params["terms"])
+    )
+    region = _ball(params, np.zeros(nf.dim))
     # C declared from the largest speed at 256 sampled points with headroom;
     # over-declaring is safe (it only enlarges downstream fitting regions),
     # while an understatement would be rejected by construction-time validation
     pts = region.sample(np.random.default_rng(0), 256)
     c_hat = float(np.max(np.linalg.norm(nf(pts), axis=1)))
-    return VectorFieldSpec(
-        nf.velocity,
+    return dict(
+        evaluator=nf.velocity,
         bound_C=c_hat * 1.25 + 1e-9,
         lipschitz_K=nf.lipschitz_bound(),
-        horizon=horizon,
-        dim=nf.dim,
         region=region,
-        name="neural-static",
-        params={
-            "terms": [t.to_dict() for t in nf.terms],
-            "activation": activation,
-            "radius": radius,
-            "horizon": horizon,
-        },
-        analytic_flow=None,
+        params={"terms": [t.to_dict() for t in nf.terms], "activation": activation, "radius": region.radius},
         static_superposition=nf,
     )
 
 
-@_benchmark("double-gyre-static", "amplitude", "horizon")
-def _double_gyre_spec(params: Mapping) -> VectorFieldSpec:
-    amplitude = float(params.get("amplitude", 0.1))
-    horizon = float(params.get("horizon", 1.0))
-    # classic two-cell stream pattern on [0, 2] x [0, 1]
-    region = Region("box", np.array([1.0, 0.5]), np.array([1.0, 0.5]))
+@_BENCHMARKS.register("double-gyre-static", "amplitude")
+def _double_gyre_spec(params: Mapping) -> dict:
+    amplitude = _number(params.get("amplitude", 0.1), "amplitude")
     pi_a = np.pi * amplitude
 
     def evaluator(t, x):
@@ -441,33 +408,25 @@ def _double_gyre_spec(params: Mapping) -> VectorFieldSpec:
         sy, cy = np.sin(np.pi * x[:, 1]), np.cos(np.pi * x[:, 1])
         return pi_a * np.stack([-sx * cy, cx * sy], axis=1)
 
-    return VectorFieldSpec(
-        evaluator,
+    return dict(
+        evaluator=evaluator,
         bound_C=pi_a,
         lipschitz_K=2.0 * np.pi * pi_a,
-        horizon=horizon,
-        dim=2,
-        region=region,
-        name="double-gyre-static",
-        params={"amplitude": amplitude, "horizon": horizon},
-        analytic_flow=None,
+        # classic two-cell stream pattern on [0, 2] x [0, 1]
+        region=Region("box", np.array([1.0, 0.5]), np.array([1.0, 0.5])),
+        params={"amplitude": amplitude},
     )
 
 
 def benchmark_field(name: str, params: Optional[Mapping] = None) -> VectorFieldSpec:
     """Named analytic field with exact declared C, K on its declared region.
 
+    Every field reads ``horizon`` (1.0 by default) besides its own params.
     Raises ``ValueError`` for an unknown name and for a param the field does
-    not read, or one it needs that is missing.
+    not read, one it needs that is missing or a number that is not finite.
     """
-    if name not in _BENCHMARKS:
-        raise ValueError(f"unknown benchmark field {name!r}; choose from {sorted(_BENCHMARKS)}")
-    build, names = _BENCHMARKS[name]
     params = params or {}
-    unknown = set(params) - names
-    if unknown:
-        raise ValueError(f"benchmark {name!r} takes no parameter(s) {sorted(unknown)}; it reads {sorted(names)}")
-    try:
-        return build(params)
-    except KeyError as exc:
-        raise ValueError(f"benchmark {name!r} missing required parameter {exc}") from exc
+    spec = _BENCHMARKS.build(name, params)
+    horizon = _number(params.get("horizon", 1.0), "horizon")
+    spec["params"]["horizon"] = horizon
+    return VectorFieldSpec(horizon=horizon, name=name, **spec)

@@ -10,7 +10,7 @@ snapshot time, and within a window the active piece is frozen.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional
 
@@ -218,13 +218,7 @@ class SupportGrowthReport:
     first_violation: Optional[tuple] = None  # (t, particle index)
 
     def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "precondition_ok": self.precondition_ok,
-            "bound": self.bound,
-            "max_radius": self.max_radius,
-            "first_violation": self.first_violation,
-        }
+        return asdict(self)
 
 
 def support_growth_check(

@@ -25,7 +25,6 @@ import copy
 import hashlib
 import json
 import math
-import numbers
 import os
 import shutil
 import threading
@@ -41,7 +40,7 @@ import numpy as np
 
 from .fields import benchmark_field
 from .flow import IntegratorConfig, MeasureTrajectory, integrate_flow, support_growth_check
-from .measures import RNG_ALGORITHM, MeasureSpec, ParticleEnsemble, _check_params, sample_measure
+from .measures import RNG_ALGORITHM, MeasureSpec, ParticleEnsemble, _number, _numbers, sample_measure
 from .synthesis import (
     DISPLACEMENT_HORIZON,
     SynthesisParams,
@@ -70,25 +69,6 @@ def _object(value, where: str, allowed: set, required: set = frozenset()) -> Map
     return value
 
 
-def _number(value, name: str, integer: bool = False):
-    """A config number, checked as given: an int when ``integer``, else a float.
-
-    Bools, strings and other non-numbers are rejected, and so are the
-    non-finite values ``json.loads`` reads from ``Infinity`` and ``NaN`` and a
-    value with a fractional part where an integer is needed, so a mistyped
-    number fails the parse instead of being coerced.
-    """
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ConfigError(f"{name} must be {'an integer' if integer else 'a number'}, got {value!r}")
-    if not isinstance(value, numbers.Integral) and not math.isfinite(value):
-        raise ConfigError(f"{name} must be finite, got {value!r}")
-    if integer:
-        if not (isinstance(value, numbers.Integral) or float(value).is_integer()):
-            raise ConfigError(f"{name} must be an integer, got {value!r}")
-        return int(value)
-    return float(value)
-
-
 def _count(value, name: str, minimum: int) -> int:
     count = _number(value, name, integer=True)
     if count < minimum:
@@ -107,31 +87,19 @@ def _int_list(value, name: str) -> list:
     return sorted(out)
 
 
-def _measure(entry, where: str) -> dict:
-    """A measure entry as {"kind", "params"}, each param one its kind reads."""
-    entry = _object(entry, where, {"kind", "params"}, {"kind"})
-    spec = MeasureSpec(entry["kind"], dict(entry.get("params", {})))
-    if spec.kind != "translate-of-initial":
-        _check_params(spec)
-    elif where != "target_measure":
-        raise ConfigError("translate-of-initial is only valid as a target_measure")
-    elif set(spec.params) != {"offset"}:
-        raise ConfigError("translate-of-initial takes exactly one param: offset")
-    return spec.to_dict()
-
-
 class ExperimentConfig:
     """A parsed experiment config, held as its normalized dict.
 
     :meth:`from_dict` checks every key and fills in every default it leaves
     out; :meth:`to_dict` returns a copy of that dict, which the manifest
-    records and ``resume`` fingerprints. A trajectory config also keeps the
-    benchmark field it names, built once at the parse.
+    records and ``resume`` fingerprints. It also keeps the specs the parse
+    built, by config key: the initial measure, a sampled target measure and
+    a trajectory config's benchmark field.
     """
 
-    def __init__(self, normalized: dict, benchmark=None):
+    def __init__(self, normalized: dict, specs: dict):
         self._config = normalized
-        self._benchmark = benchmark
+        self._specs = specs
 
     @staticmethod
     def from_dict(raw: Mapping) -> "ExperimentConfig":
@@ -155,11 +123,15 @@ class ExperimentConfig:
 
         defaults = SynthesisParams()
         try:
+            # each spec checks its params as it is built
+            entry = _object(raw["initial_measure"], "initial_measure", {"kind", "params"}, {"kind"})
+            specs = {"initial_measure": MeasureSpec(entry["kind"], dict(entry.get("params", {})))}
+            dim = specs["initial_measure"].dim
             config = {
                 "kind": kind,
                 "seed": _count(raw["seed"], "seed", 0),
                 "n_particles": _count(raw["n_particles"], "n_particles", 1),
-                "initial_measure": _measure(raw["initial_measure"], "initial_measure"),
+                "initial_measure": specs["initial_measure"].to_dict(),
                 "synthesis": {
                     "n_avg": _int_list(syn.get("n_avg", defaults.n_avg), "synthesis.n_avg"),
                     "m_width": _int_list(syn.get("m_width", defaults.m_width), "synthesis.m_width"),
@@ -191,9 +163,18 @@ class ExperimentConfig:
             if "field" in raw:
                 entry = _object(raw["field"], "field", {"name", "params"}, {"name"})
                 config["field"] = {"name": entry["name"], "params": copy.deepcopy(dict(entry.get("params", {})))}
+                specs["field"] = benchmark_field(**config["field"])
             if "target_measure" in raw:
-                config["target_measure"] = _measure(raw["target_measure"], "target_measure")
+                entry = _object(raw["target_measure"], "target_measure", {"kind", "params"}, {"kind"})
+                params = dict(entry.get("params", {}))
+                if entry["kind"] != "translate-of-initial":
+                    specs["target_measure"] = MeasureSpec(entry["kind"], params)
+                elif set(params) != {"offset"} or _numbers(params["offset"], "offset").shape != (dim,):
+                    raise ConfigError(f"translate-of-initial takes one param, an offset of {dim} numbers")
+                config["target_measure"] = {"kind": entry["kind"], "params": copy.deepcopy(params)}
                 config["smoothing"] = smoothing
+            if target in specs and specs[target].dim != dim:
+                raise ConfigError(f"initial_measure is {dim}-dimensional, {target} is {specs[target].dim}")
             for key in ("out_dir", "schedule"):
                 if key in raw:
                     if not isinstance(raw[key], str):
@@ -204,11 +185,10 @@ class ExperimentConfig:
             # integrator and the snap times against the field's horizon now,
             # so a bad value fails the parse instead of every row or the
             # sweep after its output directory exists.
-            benchmark = benchmark_field(**config["field"]) if kind == "trajectory" else None
-            cfg = ExperimentConfig(config, benchmark)
+            cfg = ExperimentConfig(config, specs)
             for coords in cfg.sweep_points():
                 cfg.synthesis_params(coords)
-            horizon = DISPLACEMENT_HORIZON if benchmark is None else benchmark.horizon
+            horizon = specs["field"].horizon if kind == "trajectory" else DISPLACEMENT_HORIZON
             end = cfg.integrator(horizon).snap_times[-1]
             if end > horizon + 1e-12:
                 raise ConfigError(f"snap_times end at {end}, past the field's horizon {horizon}")
@@ -248,8 +228,7 @@ class ExperimentConfig:
         return int(s[0]), int(s[1])
 
     def _sample(self, key: str, which: int) -> ParticleEnsemble:
-        spec = MeasureSpec(**self._config[key])
-        return sample_measure(spec, self._config["n_particles"], self.measure_seeds()[which])
+        return sample_measure(self._specs[key], self._config["n_particles"], self.measure_seeds()[which])
 
     def build_mu0(self) -> ParticleEnsemble:
         return self._sample("initial_measure", 0)
@@ -264,7 +243,7 @@ class ExperimentConfig:
         """
         mu0 = self.build_mu0()
         if self.kind == "trajectory":
-            return mu0, None, self._benchmark
+            return mu0, None, self._specs["field"]
         target = self._config["target_measure"]
         if target["kind"] == "translate-of-initial":
             muf = mu0.translate(np.asarray(target["params"]["offset"], dtype=float))

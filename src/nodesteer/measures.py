@@ -3,14 +3,22 @@
 An ensemble of n points in R^d stands in for the measure (1/n) sum_i delta_{x_i}.
 All samplers are seeded and truncated to an explicit bounded region, so every
 ensemble produced here has compact support and total mass exactly 1.
+
+Each measure kind is a registered function that reads its params, builds
+its truncation region and returns its sampler; :class:`MeasureSpec` runs it
+when built, so :func:`sample_measure` only draws. The benchmark fields share
+this module's registry helper and number rule.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import math
+import numbers
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from functools import partial
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -22,6 +30,70 @@ _MAX_REJECTION_ROUNDS = 10_000
 
 class MeasureSpecError(ValueError):
     """Invalid sampler specification parameters."""
+
+
+def _number(value, name: str, integer: bool = False, finite: bool = True):
+    """A config or spec number, checked as given: an int when ``integer``, else a float.
+
+    Bools, strings and other non-numbers are rejected, and so are the
+    non-finite values ``json.loads`` reads from ``Infinity`` and ``NaN``
+    (unless ``finite`` is false) and a value with a fractional part where an
+    integer is needed, so a mistyped number fails instead of being coerced.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be {'an integer' if integer else 'a number'}, got {value!r}")
+    if finite and not isinstance(value, numbers.Integral) and not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    if integer:
+        if not (isinstance(value, numbers.Integral) or float(value).is_integer()):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        return int(value)
+    return float(value)
+
+
+def _numbers(value, name: str) -> np.ndarray:
+    """A number or nested lists of numbers as a float array, by the rule of :func:`_number`.
+
+    Non-finite entries are named by their row, the index along the first axis.
+    """
+    entries = np.asarray(value, dtype=object)
+    arr = np.array([_number(v, f"{name} entries", finite=False) for v in entries.flat]).reshape(entries.shape)
+    bad = [i for i, row in enumerate(np.atleast_1d(arr)) if not np.all(np.isfinite(row))]
+    if bad:
+        raise ValueError(f"{name} entries {bad} are not finite")
+    return arr
+
+
+class _Registry:
+    """Spec builders by name, each registered with the params it reads and the ``shared`` ones."""
+
+    def __init__(self, what: str, error: type, *shared: str):
+        self._what, self._error, self._shared, self._builders = what, error, shared, {}
+
+    def register(self, name: str, *params: str):
+        def add(build):
+            self._builders[name] = (build, frozenset(params + self._shared))
+            return build
+
+        return add
+
+    def build(self, name: str, params: Mapping):
+        """Run name's builder on params; an unknown name or param, or a missing one, raises ``error``."""
+        if name not in self._builders:
+            raise self._error(f"unknown {self._what} {name!r}; choose from {sorted(self._builders)}")
+        build, names = self._builders[name]
+        _reject_unknown(params, names, f"{self._what} {name!r}", self._error)
+        try:
+            return build(params)
+        except KeyError as exc:
+            raise self._error(f"{self._what} {name!r} missing required parameter {exc}") from exc
+
+
+def _reject_unknown(params: Mapping, names, where: str, error: type) -> None:
+    """Reject any key of ``params`` outside ``names``."""
+    unknown = set(params) - set(names)
+    if unknown:
+        raise error(f"{where} takes no parameter(s) {sorted(unknown)}; it reads {sorted(names)}")
 
 
 @dataclass(frozen=True)
@@ -106,12 +178,14 @@ class Region:
     @staticmethod
     def from_dict(d: Mapping) -> "Region":
         """A region entry: kind, center and a ball's radius or a box's halfwidths, no other key."""
+        if not isinstance(d, Mapping):
+            raise MeasureSpecError(f"a region must be an object, got {d!r}")
         kind = d.get("kind")
         extent = "radius" if kind == "ball" else "halfwidths"
         keys = {"kind", "center", extent}
         if set(d) != keys:
             raise MeasureSpecError(f"{kind} region takes keys {sorted(keys)}, got {sorted(d)}")
-        return Region(kind, np.asarray(d["center"], dtype=float), np.asarray(d[extent], dtype=float))
+        return Region(kind, _numbers(d["center"], "region center"), _numbers(d[extent], f"region {extent}"))
 
 
 @dataclass(frozen=True)
@@ -170,11 +244,21 @@ class MeasureSpec:
     """Declarative sampler spec: a kind plus its parameters.
 
     Kinds: ``uniform-ball``, ``gaussian-truncated``, ``gaussian-mixture-truncated``,
-    ``two-moons``, ``explicit-points``.
+    ``two-moons``, ``explicit-points``. Construction runs the kind's
+    registered function and keeps its sampler, so an unknown kind or a
+    missing, unknown or bad param raises ``ValueError`` here. ``dim`` is the
+    dimension of the points the spec draws.
     """
 
     kind: str
     params: Mapping
+    dim: int = field(init=False, compare=False)
+    _sample: Callable = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        dim, sample = _KINDS.build(self.kind, self.params)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "_sample", sample)
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "params": _jsonable(self.params)}
@@ -192,12 +276,16 @@ def _jsonable(obj):
     return obj
 
 
-def _rejection_sample(draw, region: Region, n: int) -> np.ndarray:
-    """Accumulate draws from ``draw(k)`` until n of them land inside region."""
+# each kind returns (dim, sampler); a sampler maps (rng, n) to n points
+_KINDS = _Registry("measure kind", MeasureSpecError)
+
+
+def _rejection_sample(draw, region: Region, rng: np.random.Generator, n: int) -> np.ndarray:
+    """Accumulate draws from ``draw(rng, k)`` until n of them land inside region."""
     kept = []
     total = 0
     for _ in range(_MAX_REJECTION_ROUNDS):
-        batch = draw(max(n, _REJECTION_BATCH))
+        batch = draw(rng, max(n, _REJECTION_BATCH))
         inside = batch[region.contains(batch)]
         if inside.shape[0]:
             kept.append(inside)
@@ -207,91 +295,89 @@ def _rejection_sample(draw, region: Region, n: int) -> np.ndarray:
     raise MeasureSpecError("rejection sampling failed: truncation region has negligible mass")
 
 
-def _gaussian_draw(rng: np.random.Generator, mean: np.ndarray, cov: np.ndarray):
-    chol = np.linalg.cholesky(cov)
-
-    def draw(k: int) -> np.ndarray:
-        return mean + rng.standard_normal((k, mean.size)) @ chol.T
-
-    return draw
-
-
-def _parse_cov(params: Mapping, dim: int) -> np.ndarray:
+def _gaussian(params: Mapping, mean, dim: int) -> tuple:
+    """(mean, Cholesky factor of the covariance) from a mean and the cov or std in params."""
+    mean = np.atleast_1d(_numbers(mean, "mean"))
+    if mean.size != dim:
+        raise MeasureSpecError("mean dimension does not match region")
     if "cov" in params:
-        cov = np.asarray(params["cov"], dtype=float)
+        cov = _numbers(params["cov"], "cov")
         if cov.ndim == 0:
             cov = np.eye(dim) * float(cov)
         if cov.shape != (dim, dim):
             raise MeasureSpecError("cov must be a d x d matrix or a scalar")
     else:
-        std = float(params.get("std", 1.0))
+        std = _number(params.get("std", 1.0), "std")
         if std <= 0:
             raise MeasureSpecError("std must be positive")
         cov = np.eye(dim) * std**2
     try:
-        np.linalg.cholesky(cov)
+        return mean, np.linalg.cholesky(cov)
     except np.linalg.LinAlgError as exc:
         raise MeasureSpecError("covariance must be positive definite") from exc
-    return cov
 
 
-# the params each kind reads; a mixture's components are params of their kind
-_PARAMS = {
-    "uniform-ball": {"center", "radius"},
-    "gaussian-truncated": {"region", "mean", "cov", "std"},
-    "gaussian-mixture-truncated": {"region", "components"},
-    "two-moons": {"center", "scale", "noise"},
-    "explicit-points": {"points"},
-}
-_COMPONENT_PARAMS = {"mean", "cov", "std", "weight"}
+@_KINDS.register("uniform-ball", "center", "radius")
+def _uniform_ball(params: Mapping) -> tuple:
+    center = np.atleast_1d(_numbers(params.get("center", [0.0, 0.0]), "center"))
+    region = Region("ball", center, np.array([_number(params.get("radius", 1.0), "radius")]))
+    return region.dim, region.sample
 
 
-def _check_params(spec: MeasureSpec) -> None:
-    """Reject an unknown kind and any param (or mixture component key) its kind never reads."""
-    if spec.kind not in _PARAMS:
-        raise MeasureSpecError(f"unknown measure spec kind {spec.kind!r}")
-    unknown = set(spec.params) - _PARAMS[spec.kind]
-    if spec.kind == "gaussian-mixture-truncated":
-        for comp in spec.params.get("components") or ():
-            unknown |= {f"components.{key}" for key in set(comp) - _COMPONENT_PARAMS}
-    if unknown:
-        raise MeasureSpecError(f"{spec.kind} takes no param(s) {sorted(unknown)}")
+@_KINDS.register("gaussian-truncated", "region", "mean", "cov", "std")
+def _gaussian_truncated(params: Mapping) -> tuple:
+    region = Region.from_dict(params["region"])
+    mean, chol = _gaussian(params, params.get("mean", np.zeros(region.dim)), region.dim)
+
+    def draw(rng: np.random.Generator, k: int) -> np.ndarray:
+        return mean + rng.standard_normal((k, mean.size)) @ chol.T
+
+    return region.dim, partial(_rejection_sample, draw, region)
 
 
-def _spec_region(spec: MeasureSpec) -> Optional[Region]:
-    """The declared truncation region every sample must land inside; None for explicit points."""
-    kind, params = spec.kind, spec.params
-    if kind == "uniform-ball":
-        center = np.atleast_1d(np.asarray(params.get("center", [0.0, 0.0]), dtype=float))
-        radius = float(params.get("radius", 1.0))
-        if radius <= 0:
-            raise MeasureSpecError("uniform-ball radius must be positive")
-        return Region("ball", center, np.array([radius]))
-    if kind in ("gaussian-truncated", "gaussian-mixture-truncated"):
-        if "region" not in params:
-            raise MeasureSpecError(f"{kind} requires an explicit truncation region")
-        return Region.from_dict(params["region"])
-    if kind == "two-moons":
-        center = np.asarray(params.get("center", [0.0, 0.0]), dtype=float)
-        scale = float(params.get("scale", 1.0))
-        noise = float(params.get("noise", 0.05))
-        if scale <= 0 or noise < 0:
-            raise MeasureSpecError("two-moons needs scale > 0 and noise >= 0")
-        # moon arcs live in [-1, 2] x [-0.75, 1]; pad by 4 noise sigmas
-        pad = 4.0 * noise
-        cx = center[0] + scale * 0.5
-        cy = center[1] + scale * 0.125
-        hw = np.array([scale * 1.5 + pad, scale * 0.875 + pad])
-        return Region("box", np.array([cx, cy]), hw)
-    return None
+@_KINDS.register("gaussian-mixture-truncated", "region", "components")
+def _gaussian_mixture(params: Mapping) -> tuple:
+    region = Region.from_dict(params["region"])
+    if not params["components"]:
+        raise MeasureSpecError("gaussian mixture needs a nonempty components list")
+    means, chols, weights = [], [], []
+    for comp in params["components"]:
+        _reject_unknown(comp, ("mean", "cov", "std", "weight"), "a gaussian mixture component", MeasureSpecError)
+        mean, chol = _gaussian(comp, comp["mean"], region.dim)
+        means.append(mean)
+        chols.append(chol)
+        weights.append(_number(comp.get("weight", 1.0), "component weight"))
+    weights = np.asarray(weights)
+    if np.any(weights < 0) or weights.sum() <= 0:
+        raise MeasureSpecError("mixture weights must be nonnegative with positive sum")
+    weights = weights / weights.sum()
+
+    def draw(rng: np.random.Generator, k: int) -> np.ndarray:
+        idx = rng.choice(len(means), size=k, p=weights)
+        out = np.empty((k, region.dim))
+        for j in range(len(means)):
+            mask = idx == j
+            kj = int(mask.sum())
+            if kj:
+                out[mask] = means[j] + rng.standard_normal((kj, region.dim)) @ chols[j].T
+        return out
+
+    return region.dim, partial(_rejection_sample, draw, region)
 
 
-def _two_moons_draw(rng: np.random.Generator, params: Mapping):
-    center = np.asarray(params.get("center", [0.0, 0.0]), dtype=float)
-    scale = float(params.get("scale", 1.0))
-    noise = float(params.get("noise", 0.05))
+@_KINDS.register("two-moons", "center", "scale", "noise")
+def _two_moons(params: Mapping) -> tuple:
+    center = _numbers(params.get("center", [0.0, 0.0]), "center")
+    scale = _number(params.get("scale", 1.0), "scale")
+    noise = _number(params.get("noise", 0.05), "noise")
+    if center.shape != (2,) or scale <= 0 or noise < 0:
+        raise MeasureSpecError("two-moons needs a 2-d center, scale > 0 and noise >= 0")
+    # moon arcs live in [-1, 2] x [-0.75, 1]; pad by 4 noise sigmas
+    pad = 4.0 * noise
+    box_center = np.array([center[0] + scale * 0.5, center[1] + scale * 0.125])
+    region = Region("box", box_center, np.array([scale * 1.5 + pad, scale * 0.875 + pad]))
 
-    def draw(k: int) -> np.ndarray:
+    def draw(rng: np.random.Generator, k: int) -> np.ndarray:
         upper = rng.random(k) < 0.5
         angle = rng.uniform(0.0, np.pi, size=k)
         x = np.where(upper, np.cos(angle), 1.0 - np.cos(angle))
@@ -300,71 +386,28 @@ def _two_moons_draw(rng: np.random.Generator, params: Mapping):
         pts += noise * rng.standard_normal((k, 2))
         return center + scale * pts
 
-    return draw
+    return 2, partial(_rejection_sample, draw, region)
+
+
+@_KINDS.register("explicit-points", "points")
+def _explicit_points(params: Mapping) -> tuple:
+    pts = np.atleast_2d(_numbers(params["points"], "explicit-points"))
+    return pts.shape[1], lambda rng, n: pts
 
 
 def sample_measure(spec: MeasureSpec, n: int, seed: int) -> ParticleEnsemble:
     """Draw a seeded n-point ensemble from the spec'd distribution.
 
     Deterministic given (spec, n, seed); every drawn point lies inside the
-    spec's truncation region, and explicit points are taken as given. Raises
-    :class:`MeasureSpecError` for an unknown kind, a param the kind does not
-    read or a bad param value, and ``ValueError`` for n < 1.
+    spec's truncation region, and explicit points are taken as given.
+    Raises ``ValueError`` for n < 1 and :class:`MeasureSpecError` when
+    explicit points are not n or the truncation region has negligible mass.
     """
     if n < 1:
         raise ValueError("sample_measure needs n >= 1")
-    _check_params(spec)
-    rng = np.random.default_rng(seed)
-    kind, params = spec.kind, spec.params
-    region = _spec_region(spec)
-
-    if kind == "uniform-ball":
-        pts = region.sample(rng, n)
-    elif kind == "gaussian-truncated":
-        mean = np.atleast_1d(np.asarray(params.get("mean", np.zeros(region.dim)), dtype=float))
-        if mean.size != region.dim:
-            raise MeasureSpecError("mean dimension does not match region")
-        cov = _parse_cov(params, mean.size)
-        pts = _rejection_sample(_gaussian_draw(rng, mean, cov), region, n)
-    elif kind == "gaussian-mixture-truncated":
-        comps = params.get("components")
-        if not comps:
-            raise MeasureSpecError("gaussian mixture needs a nonempty components list")
-        means, chols, weights = [], [], []
-        for comp in comps:
-            mean = np.atleast_1d(np.asarray(comp["mean"], dtype=float))
-            if mean.size != region.dim:
-                raise MeasureSpecError("component mean dimension does not match region")
-            cov = _parse_cov(comp, mean.size)
-            means.append(mean)
-            chols.append(np.linalg.cholesky(cov))
-            weights.append(float(comp.get("weight", 1.0)))
-        weights = np.asarray(weights)
-        if np.any(weights < 0) or weights.sum() <= 0:
-            raise MeasureSpecError("mixture weights must be nonnegative with positive sum")
-        weights = weights / weights.sum()
-
-        def draw(k: int) -> np.ndarray:
-            idx = rng.choice(len(means), size=k, p=weights)
-            out = np.empty((k, region.dim))
-            for j in range(len(means)):
-                mask = idx == j
-                kj = int(mask.sum())
-                if kj:
-                    out[mask] = means[j] + rng.standard_normal((kj, region.dim)) @ chols[j].T
-            return out
-
-        pts = _rejection_sample(draw, region, n)
-    elif kind == "two-moons":
-        pts = _rejection_sample(_two_moons_draw(rng, params), region, n)
-    else:  # explicit-points
-        pts = np.atleast_2d(np.asarray(params["points"], dtype=float))
-        bad = np.flatnonzero(~np.all(np.isfinite(pts), axis=1))
-        if bad.size:
-            raise MeasureSpecError(f"explicit-points entries {bad.tolist()} are not finite")
-        if pts.shape[0] != n:
-            raise MeasureSpecError(f"explicit-points has {pts.shape[0]} points, n = {n}")
-
+    pts = spec._sample(np.random.default_rng(seed), n)
+    if len(pts) != n:
+        raise MeasureSpecError(f"{spec.kind} has {len(pts)} points, n = {n}")
     provenance = {"spec": spec.to_dict(), "n": n, "seed": seed, "rng": RNG_ALGORITHM}
     return ParticleEnsemble(pts, provenance=provenance)
 

@@ -21,7 +21,7 @@ two given ensembles.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -120,14 +120,7 @@ class SynthesisParams:
             raise ValueError(f"{total_pieces} pieces exceed the {MAX_SCHEDULE_PIECES} schedule cap")
 
     def to_dict(self) -> dict:
-        return {
-            "n_avg": self.n_avg,
-            "m_width": self.m_width,
-            "fit_tolerance": self.fit_tolerance,
-            "n_osc": self.n_osc,
-            "region_margin": self.region_margin,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 # -- window time averages ------------------------------------------------------
@@ -515,7 +508,6 @@ def displacement_target_field(
         bound_C=max_move,
         lipschitz_K=lipschitz_k,
         horizon=DISPLACEMENT_HORIZON,
-        dim=mu0.dim,
         region=region,
         name="displacement-interpolation",
         params={"bandwidth": smoothing, "n": mu0.n, "lipschitz_K": lipschitz_k},

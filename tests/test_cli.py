@@ -304,6 +304,33 @@ class TestConfigErrors:
                 },
                 id="field-neural-static-relu",
             ),
+            pytest.param("field", {"name": "rotation", "params": {"omega": float("nan")}}, id="field-param-nan"),
+            pytest.param("field", {"name": "rotation", "params": {"omega": float("inf")}}, id="field-param-inf"),
+            pytest.param("field", {"name": "rotation", "params": {"omega": "1.0"}}, id="field-param-numeric-string"),
+            pytest.param("field", {"name": "rotation", "params": {"omega": True}}, id="field-param-bool"),
+            pytest.param(
+                "initial_measure",
+                {"kind": "uniform-ball", "params": {"center": [0.0, 0.0], "radius": "0.5"}},
+                id="measure-param-numeric-string",
+            ),
+            pytest.param(
+                "initial_measure",
+                {"kind": "uniform-ball", "params": {"center": [0.0, 0.0, 0.0], "radius": 1.0}},
+                id="measure-3d-field-2d",
+            ),
+            pytest.param(
+                None,
+                _endpoint_payload(
+                    initial_measure={"kind": "explicit-points", "params": {"points": [[0.0, 0.0, 0.0]] * 24}},
+                    target_measure={"kind": "explicit-points", "params": {"points": [[1.0, 0.0]] * 24}},
+                ),
+                id="explicit-points-3d-target-2d",
+            ),
+            pytest.param(
+                None,
+                _endpoint_payload(target_measure={"kind": "translate-of-initial", "params": {"offset": [0.5, 0.0, 0.0]}}),
+                id="offset-3d-measure-2d",
+            ),
         ],
     )
     def test_bad_integrator_rejected_at_parse(self, section, entries, tmp_path):
@@ -341,8 +368,38 @@ class TestConfigErrors:
                 lambda m: m.update(kind="explicit-points", params={"points": [[0.0, 0.0], [float("nan"), 1.0]]}),
                 "explicit-points entries [1] are not finite",
             ),
+            (lambda m: m["params"].update(region=5), "a region must be an object, got 5"),
+            (
+                lambda m: m.update(kind="explicit-points", params={}),
+                "measure kind 'explicit-points' missing required parameter 'points'",
+            ),
+            (
+                lambda m: m.update(
+                    kind="gaussian-mixture-truncated",
+                    params={"components": [{"std": 0.3}], "region": m["params"]["region"]},
+                ),
+                "measure kind 'gaussian-mixture-truncated' missing required parameter 'mean'",
+            ),
+            (lambda m: m.update(kind="two-moons", params={"scale": "big"}), "scale must be a number, got 'big'"),
+            (lambda m: m["params"].update(std="0.3"), "std must be a number, got '0.3'"),
+            (lambda m: m["params"].update(mean=[0.0, True]), "mean entries must be a number, got True"),
+            (
+                lambda m: m["params"]["region"].update(center=[0.0, float("nan")]),
+                "region center entries [1] are not finite",
+            ),
         ],
-        ids=["region-unknown-key", "region-missing-radius", "explicit-points-nan"],
+        ids=[
+            "region-unknown-key",
+            "region-missing-radius",
+            "explicit-points-nan",
+            "region-not-an-object",
+            "explicit-points-without-points",
+            "mixture-component-without-mean",
+            "two-moons-scale-string",
+            "std-string",
+            "mean-bool",
+            "region-center-nan",
+        ],
     )
     def test_bad_initial_measure_writes_nothing(self, mangle, message, tmp_path, capsys):
         payload = json.loads((CONFIGS / "translation_endpoint.json").read_text())
@@ -387,6 +444,16 @@ class TestConfigErrors:
         out = tmp_path / "o"
         assert main([command, "--config", cfg, "--out", str(out), "--parallel", parallel]) == EXIT_CONFIG
         assert f"parallel must be at least 1, got {parallel}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["synthesize", "simulate", "compare"])
+    @pytest.mark.parametrize("flag", [["--parallel", "2"], ["--resume"]])
+    def test_sweep_flags_rejected_by_single_point_commands(self, command, flag, tmp_path):
+        cfg = _write(tmp_path, "cfg.json", _trajectory_payload())
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", cfg, "--out", str(out), *flag])
+        assert exc.value.code == 2
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["synthesize", "simulate", "compare", "sweep", "endpoint"])

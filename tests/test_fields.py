@@ -160,7 +160,6 @@ class TestVectorFieldSpec:
                 bound_C=0.5,
                 lipschitz_K=1.0,
                 horizon=1.0,
-                dim=2,
                 region=region,
             )
 
@@ -172,7 +171,6 @@ class TestVectorFieldSpec:
                 bound_C=2.5,
                 lipschitz_K=0.1,
                 horizon=1.0,
-                dim=2,
                 region=region,
             )
 
@@ -183,7 +181,6 @@ class TestVectorFieldSpec:
             bound_C=0.0,
             lipschitz_K=0.0,
             horizon=1.0,
-            dim=2,
             region=region,
         )
         assert vf.bound_C == 0.0
@@ -191,7 +188,7 @@ class TestVectorFieldSpec:
     def test_nonpositive_horizon(self):
         region = Region("ball", np.zeros(1), 1.0)
         with pytest.raises(ValueError):
-            VectorFieldSpec(lambda t, x: x, 1.0, 1.0, 0.0, 1, region)
+            VectorFieldSpec(lambda t, x: x, 1.0, 1.0, 0.0, region)
 
 
 class TestBenchmarks:
@@ -249,6 +246,23 @@ class TestBenchmarks:
     def test_missing_param(self):
         with pytest.raises(ValueError):
             benchmark_field("rotation", {})
+
+    @pytest.mark.parametrize(
+        "name, params",
+        [
+            ("rotation", {"omega": "1.0"}),
+            ("rotation", {"omega": True}),
+            ("rotation", {"omega": float("nan")}),
+            ("rotation", {"omega": 1.0, "horizon": float("inf")}),
+            ("translation", {"velocity": [1.0, "2"]}),
+        ],
+    )
+    def test_param_must_be_a_finite_number(self, name, params):
+        with pytest.raises(ValueError, match="must be|not finite"):
+            benchmark_field(name, params)
+
+    def test_dim_is_the_region_dim(self):
+        assert benchmark_field("translation", {"velocity": [1.0, 0.0, 0.0]}).dim == 3
 
     def test_neural_static_takes_only_logistic(self):
         terms = [NeuralTerm(np.eye(2), np.eye(2), np.zeros(2)).to_dict()]

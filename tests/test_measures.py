@@ -168,15 +168,15 @@ class TestSampleMeasure:
             sample_measure(MeasureSpec("gaussian-truncated", {"mean": [0.0]}), 10, 0)
 
     def test_gaussian_bad_cov(self):
-        spec = MeasureSpec(
-            "gaussian-truncated",
-            {
-                "mean": [0.0, 0.0],
-                "cov": [[1.0, 2.0], [2.0, 1.0]],
-                "region": {"kind": "ball", "center": [0.0, 0.0], "radius": 1.0},
-            },
-        )
         with pytest.raises(MeasureSpecError):
+            spec = MeasureSpec(
+                "gaussian-truncated",
+                {
+                    "mean": [0.0, 0.0],
+                    "cov": [[1.0, 2.0], [2.0, 1.0]],
+                    "region": {"kind": "ball", "center": [0.0, 0.0], "radius": 1.0},
+                },
+            )
             sample_measure(spec, 10, 0)
 
     def test_mixture_inside_and_weighted(self):
@@ -196,11 +196,11 @@ class TestSampleMeasure:
         assert ens.n == 600
 
     def test_mixture_needs_components(self):
-        spec = MeasureSpec(
-            "gaussian-mixture-truncated",
-            {"components": [], "region": {"kind": "ball", "center": [0.0], "radius": 1.0}},
-        )
         with pytest.raises(MeasureSpecError):
+            spec = MeasureSpec(
+                "gaussian-mixture-truncated",
+                {"components": [], "region": {"kind": "ball", "center": [0.0], "radius": 1.0}},
+            )
             sample_measure(spec, 10, 0)
 
     def test_two_moons_shape(self):
@@ -242,6 +242,32 @@ class TestSampleMeasure:
     def test_unknown_kind(self):
         with pytest.raises(MeasureSpecError):
             sample_measure(MeasureSpec("cauchy", {}), 10, 0)
+
+    @pytest.mark.parametrize(
+        "kind, params, dim",
+        [
+            ("uniform-ball", {"center": [0.0, 0.0, 1.0]}, 3),
+            ("gaussian-truncated", {"region": {"kind": "box", "center": [0.0], "halfwidths": 1.0}}, 1),
+            ("two-moons", {}, 2),
+            ("explicit-points", {"points": [[0.0, 1.0, 2.0, 3.0]]}, 4),
+        ],
+    )
+    def test_dim(self, kind, params, dim):
+        assert MeasureSpec(kind, params).dim == dim
+
+    @pytest.mark.parametrize(
+        "kind, params",
+        [
+            ("explicit-points", {}),
+            ("gaussian-truncated", {"region": 5}),
+            ("uniform-ball", {"radius": "0.5"}),
+            ("uniform-ball", {"radius": float("nan")}),
+            ("two-moons", {"center": [0.0, 0.0, 0.0]}),
+        ],
+    )
+    def test_bad_spec_fails_at_construction(self, kind, params):
+        with pytest.raises(ValueError):
+            MeasureSpec(kind, params)
 
     def test_n_below_one(self):
         spec = MeasureSpec("uniform-ball", {"center": [0.0], "radius": 1.0})

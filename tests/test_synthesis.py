@@ -120,7 +120,6 @@ class TestTimeAverage:
             bound_C=np.sqrt(5.0),
             lipschitz_K=0.0,
             horizon=1.0,
-            dim=2,
             region=region,
         )
         avg = time_average(vf, 1)
@@ -136,7 +135,6 @@ class TestTimeAverage:
             bound_C=np.linalg.norm(v),
             lipschitz_K=0.0,
             horizon=1.0,
-            dim=2,
             region=region,
         )
         avg = time_average(vf, 2)
