@@ -3,8 +3,8 @@
 Every subcommand consumes a JSON experiment config (see
 :class:`nodesteer.harness.ExperimentConfig`) and writes its artifacts under
 ``--out``. Scalar config fields can be overridden by flags. Exit codes:
-0 success, 1 config error, 2 all rows failed (or the single requested
-operation failed), 3 partial failure.
+0 success, 1 config or usage error, 2 all rows failed (or the single
+requested operation failed), 3 partial failure.
 """
 
 from __future__ import annotations
@@ -34,8 +34,19 @@ EXIT_ALL_FAILED = 2
 EXIT_PARTIAL = 3
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits EXIT_CONFIG on a usage error; argparse's own 2 means all rows failed here.
+
+    Subparsers are built from the same class, so their errors exit alike.
+    """
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nodesteer",
         description="Synthesize and evaluate piecewise-constant neural-ODE control schedules.",
     )

@@ -25,9 +25,9 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
-from scipy.spatial.distance import pdist, squareform
 
 from .measures import Region, _number, _numbers, _Registry
+from .transport import _sq_norm
 
 
 class BoundDeclarationError(ValueError):
@@ -187,6 +187,11 @@ class BoundEstimate:
     K_hat: float
 
 
+def _pairwise_distances(pts: np.ndarray) -> np.ndarray:
+    """The n x n Euclidean distance matrix of the rows of pts."""
+    return np.sqrt(_sq_norm(pts[:, None, :] - pts[None, :, :]))
+
+
 def estimate_bounds(
     vf,
     region: Region,
@@ -204,7 +209,7 @@ def estimate_bounds(
         raise ValueError("estimate_bounds needs at least 2 samples per axis")
     rng = np.random.default_rng(seed)
     pts = region.sample(rng, x_samples)
-    dists = squareform(pdist(pts))
+    dists = _pairwise_distances(pts)
     np.fill_diagonal(dists, np.inf)
     dists[dists == 0.0] = np.inf
     c_hat = 0.0
@@ -212,7 +217,7 @@ def estimate_bounds(
     for t in np.linspace(0.0, vf.horizon, t_samples):
         vel = vf.velocity(float(t), pts)
         c_hat = max(c_hat, float(np.max(np.linalg.norm(vel, axis=1))))
-        vel_diff = squareform(pdist(vel))
+        vel_diff = _pairwise_distances(vel)
         k_hat = max(k_hat, float(np.max(vel_diff / dists)))
     return BoundEstimate(c_hat, k_hat)
 

@@ -306,6 +306,9 @@ def _gaussian(params: Mapping, mean, dim: int) -> tuple:
             cov = np.eye(dim) * float(cov)
         if cov.shape != (dim, dim):
             raise MeasureSpecError("cov must be a d x d matrix or a scalar")
+        if not np.array_equal(cov, cov.T):
+            # cholesky reads the lower triangle alone and would ignore the rest
+            raise MeasureSpecError("cov must be symmetric")
     else:
         std = _number(params.get("std", 1.0), "std")
         if std <= 0:

@@ -25,7 +25,6 @@ from dataclasses import asdict, dataclass
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .fields import (
     NeuralField,
@@ -35,7 +34,7 @@ from .fields import (
     logistic,
 )
 from .measures import ParticleEnsemble, Region, support_radius
-from .transport import w2_exact
+from .transport import _sq_norm, w2_exact
 
 MAX_SCHEDULE_PIECES = 1_000_000
 
@@ -451,6 +450,8 @@ def synthesize_controls(
 
 # the displacement field carries mu0 to muf over [0, DISPLACEMENT_HORIZON]
 DISPLACEMENT_HORIZON = 1.0
+# query points per block of a displacement-field evaluation
+_BLOCK_QUERIES = 128
 
 
 def displacement_target_field(
@@ -463,10 +464,15 @@ def displacement_target_field(
     with the given Gaussian bandwidth. The field is a convex combination of
     the particle displacements, so its sup norm is exactly their largest norm.
 
-    Each evaluation shifts the kernel logits by their row maximum, so every
-    row's weight sum is at least 1, exponentiates them in place, and fuses the
-    normalisation into one matmul against ``[moves | 1]``: the last column is
-    the weight sum that divides the rest.
+    Each evaluation writes the kernel logits -|x - a|^2 / (2h^2) as one
+    matmul, ``[x | 1] @ [a^T / h^2 ; -|a|^2 / (2h^2)]``, which drops the
+    -|x|^2 / (2h^2) term: it is constant along a row, and shifting each row by
+    its maximum cancels it anyway. After the shift every row's weight sum is
+    at least 1, so a query far from every anchor still takes its nearest
+    move. The weights are exponentiated in place and normalised by one matmul
+    against ``[moves | 1]``, whose last column is the weight sum that divides
+    the rest. Queries are taken ``_BLOCK_QUERIES`` rows at a time, so the
+    working set is one block of logits, never a whole n x n matrix.
 
     The declared Lipschitz constant K (also ``params["lipschitz_K"]``) is an
     analytic bound that holds for every x and t. The field's Jacobian is
@@ -481,18 +487,21 @@ def displacement_target_field(
     targets = np.array(muf.points)[result.coupling.assignment]
     moves = targets - x0
     max_move = float(np.max(np.linalg.norm(moves, axis=1)))
-    inv_two_h2 = 1.0 / (2.0 * smoothing**2)
+    inv_h2 = 1.0 / smoothing**2
 
     moves_and_one = np.hstack([moves, np.ones((len(moves), 1))])
     d = moves.shape[1]
 
     def evaluator(t, x):
         anchors = x0 + t * moves
-        w = cdist(x, anchors, "sqeuclidean")
-        w *= -inv_two_h2
-        w -= w.max(axis=1, keepdims=True)
-        np.exp(w, out=w)
-        out = w @ moves_and_one
+        logit_coef = np.vstack([anchors.T * inv_h2, -0.5 * inv_h2 * _sq_norm(anchors)])
+        x_and_one = np.hstack([x, np.ones((len(x), 1))])
+        out = np.empty((len(x), d + 1))
+        for start in range(0, len(x), _BLOCK_QUERIES):
+            w = x_and_one[start : start + _BLOCK_QUERIES] @ logit_coef
+            w -= w.max(axis=1, keepdims=True)
+            np.exp(w, out=w)
+            np.matmul(w, moves_and_one, out=out[start : start + _BLOCK_QUERIES])
         return out[:, :d] / out[:, d:]
 
     mid = 0.5 * (x0.mean(axis=0) + targets.mean(axis=0))

@@ -43,7 +43,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
@@ -251,6 +250,9 @@ def w2_exact(mu: ParticleEnsemble, nu: ParticleEnsemble) -> W2Result:
     diag, identity_cost = _identity_costs(mu, nu)
     perm = _certified_permutation(mu.points, nu.points, diag, _EPS_REL * identity_cost)
     if perm is None:
+        # imported on first use, so a process that never falls back skips loading it
+        from scipy.optimize import linear_sum_assignment
+
         # the row indices of a square problem come back as 0..n-1
         perm = linear_sum_assignment(cdist(mu.points, nu.points, "sqeuclidean"))[1]
         method = "assignment"

@@ -387,6 +387,7 @@ class TestConfigErrors:
                 lambda m: m["params"]["region"].update(center=[0.0, float("nan")]),
                 "region center entries [1] are not finite",
             ),
+            (lambda m: m["params"].update(cov=[[0.1, 0.05], [0.0, 0.1]]), "cov must be symmetric"),
         ],
         ids=[
             "region-unknown-key",
@@ -399,6 +400,7 @@ class TestConfigErrors:
             "std-string",
             "mean-bool",
             "region-center-nan",
+            "cov-not-symmetric",
         ],
     )
     def test_bad_initial_measure_writes_nothing(self, mangle, message, tmp_path, capsys):
@@ -453,7 +455,7 @@ class TestConfigErrors:
         out = tmp_path / "o"
         with pytest.raises(SystemExit) as exc:
             main([command, "--config", cfg, "--out", str(out), *flag])
-        assert exc.value.code == 2
+        assert exc.value.code == EXIT_CONFIG
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["synthesize", "simulate", "compare", "sweep", "endpoint"])

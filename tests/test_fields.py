@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.spatial.distance import pdist, squareform
 
 from nodesteer.fields import (
     LOGISTIC_LIPSCHITZ,
@@ -9,6 +10,7 @@ from nodesteer.fields import (
     PiecewiseConstField,
     Region,
     VectorFieldSpec,
+    _pairwise_distances,
     benchmark_field,
     estimate_bounds,
     logistic,
@@ -144,6 +146,11 @@ class TestEstimateBounds:
         # difference quotient of a rotation is exactly |omega| for every pair
         assert est.K_hat == pytest.approx(1.5, abs=1e-9)
         assert 0.9 * 3.0 <= est.C_hat <= 3.0
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_pairwise_distances_match_scipy_bit_for_bit(self, d):
+        pts = np.random.default_rng(d).normal(size=(64, d))
+        np.testing.assert_array_equal(_pairwise_distances(pts), squareform(pdist(pts)))
 
     def test_sample_floor(self):
         vf = benchmark_field("rotation", {"omega": 1.0})

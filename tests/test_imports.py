@@ -2,12 +2,15 @@
 
 The demos and ``perfbench/`` are not imported by the unit tests, so a deleted
 or renamed package name would otherwise only show when they are run. The
-sources are read, not executed.
+sources are read, not executed. One more test checks what importing the CLI
+loads in a fresh interpreter.
 """
 
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -35,6 +38,14 @@ def test_imported_names_resolve(path):
     for module, name in _nodesteer_imports(path):
         mod = importlib.import_module(module)
         assert name is None or hasattr(mod, name), f"{path.name}: {module} has no {name}"
+
+
+def test_cli_import_skips_scipy_optimize():
+    """Only the assignment fallback needs scipy.optimize, so a cold start does not load it."""
+    probe = "import sys, nodesteer.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_traced_functions_resolve():

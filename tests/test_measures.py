@@ -263,6 +263,18 @@ class TestSampleMeasure:
             ("uniform-ball", {"radius": "0.5"}),
             ("uniform-ball", {"radius": float("nan")}),
             ("two-moons", {"center": [0.0, 0.0, 0.0]}),
+            # a cov that is positive definite in its lower triangle, which is all cholesky reads
+            (
+                "gaussian-truncated",
+                {"cov": [[1.0, 0.5], [0.0, 1.0]], "region": {"kind": "ball", "center": [0.0, 0.0], "radius": 1.0}},
+            ),
+            (
+                "gaussian-mixture-truncated",
+                {
+                    "components": [{"mean": [0.0, 0.0], "cov": [[1.0, 0.5], [0.0, 1.0]]}],
+                    "region": {"kind": "ball", "center": [0.0, 0.0], "radius": 1.0},
+                },
+            ),
         ],
     )
     def test_bad_spec_fails_at_construction(self, kind, params):

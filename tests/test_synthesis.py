@@ -15,6 +15,7 @@ from nodesteer.fields import (
 from nodesteer.flow import IntegratorConfig, integrate_flow
 from nodesteer.measures import MeasureSpec, ParticleEnsemble, sample_measure
 from nodesteer.synthesis import (
+    _BLOCK_QUERIES,
     ControlSchedule,
     SynthesisParams,
     displacement_target_field,
@@ -439,6 +440,14 @@ class TestDisplacementTargetField:
             weights = np.exp(-cdist(x, anchors, "sqeuclidean") / (2.0 * h**2))
             weights /= weights.sum(axis=1, keepdims=True)
             np.testing.assert_allclose(vf.velocity(t, x), weights @ moves, rtol=1e-13, atol=0.0)
+
+    def test_block_edges_change_nothing(self):
+        mu0, muf, _ = self._scaled_pair()
+        vf = displacement_target_field(mu0, muf, smoothing=0.3)
+        x = np.random.default_rng(5).uniform(-2, 2, size=(3 * _BLOCK_QUERIES + 5, 2))
+        for t in (0.0, 0.37, 1.0):
+            rows = np.vstack([vf.velocity(t, x[i : i + 1]) for i in range(len(x))])
+            np.testing.assert_allclose(vf.velocity(t, x), rows, rtol=1e-14, atol=0.0)
 
     def test_far_queries_take_nearest_move(self):
         # Every unshifted kernel weight underflows to 0 this far out, so only
