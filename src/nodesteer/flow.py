@@ -16,6 +16,7 @@ from typing import Optional
 
 import numpy as np
 
+from .fields import PiecewiseConstField
 from .measures import ParticleEnsemble
 from .transport import _max_w2
 
@@ -133,25 +134,6 @@ class MeasureTrajectory:
         )
 
 
-def _field_breakpoints(vf) -> np.ndarray:
-    bp = getattr(vf, "breakpoints", None)
-    if bp is None:
-        return np.empty(0)
-    return np.asarray(bp, dtype=float)
-
-
-def _segment_evaluator(vf, t_start: float):
-    """Velocity function valid on one breakpoint-free window.
-
-    For piecewise fields the piece active at t_start is frozen so evaluations
-    at the window's right endpoint cannot leak into the next piece.
-    """
-    if hasattr(vf, "piece_index"):
-        piece = vf.static_piece(vf.piece_index(t_start))
-        return lambda t, x: piece(x)
-    return vf.velocity
-
-
 def _check_finite(x: np.ndarray, t: float) -> None:
     bad = ~np.isfinite(x) | (np.abs(x) > DIVERGENCE_LIMIT)
     if bad.any():
@@ -177,7 +159,8 @@ def integrate_flow(vf, mu0: ParticleEnsemble, cfg: IntegratorConfig) -> MeasureT
     if dim and mu0.dim != dim:
         raise ValueError(f"ensemble is {mu0.dim}-dimensional, field is {dim}")
 
-    internal = _field_breakpoints(vf)
+    piecewise = isinstance(vf, PiecewiseConstField)
+    internal = vf.breakpoints if piecewise else np.empty(0)
     internal = internal[(internal > 0.0) & (internal < t_end)]
     boundaries = np.unique(np.concatenate([snaps_req, internal]))
     snap_set = set(snaps_req.tolist())
@@ -186,7 +169,13 @@ def integrate_flow(vf, mu0: ParticleEnsemble, cfg: IntegratorConfig) -> MeasureT
     recorded = [ParticleEnsemble(x)]
 
     for a, b in zip(boundaries[:-1], boundaries[1:]):
-        f = _segment_evaluator(vf, float(a))
+        if piecewise:
+            # freeze the piece active at a, so the window's right endpoint
+            # cannot evaluate the next piece
+            piece = vf.static_piece(vf.piece_index(float(a)))
+            f = lambda t, x: piece(x)
+        else:
+            f = vf.velocity
         span = float(b - a)
         k = max(1, int(np.ceil(span / cfg.base_step - 1e-12)))
         h = span / k

@@ -10,9 +10,10 @@ error. Running it produces ``results.csv`` with
 one row per sweep coordinate, a JSON manifest, and per-row
 schedule/trajectory artifacts under ``rows/<key>/``. Every row runs
 in this process on the one set of inputs and the one reference the sweep
-builds, in sequence or on worker threads. Rows that share (n_avg, m_width)
-differ only in n_osc and share one superposition fit, computed once per
-sweep; the row that computes it counts it in its ``wall_s``. Rows are
+builds. Rows that share (n_avg, m_width) differ only in n_osc: they form a
+group that runs in n_osc order on one thread and shares one superposition
+fit, which the group's first computed row makes and counts in its
+``wall_s``. Groups run in sequence or on worker threads. Rows are
 isolated: a failing coordinate is recorded as a failed row and never aborts
 the sweep. Reruns with ``resume`` reuse a completed row only when it was
 computed under the same config (every key but ``out_dir`` and the three sweep
@@ -27,12 +28,11 @@ import json
 import math
 import os
 import shutil
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
-from functools import partial
-from itertools import product
+from functools import cache, partial
+from itertools import chain, groupby, product
 from pathlib import Path
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -376,46 +376,19 @@ def _prepare_shared(cfg: ExperimentConfig, out_dir: Path, inputs: tuple) -> Meas
     return reference
 
 
-class _FitMemo:
-    """One sweep's window fits, each (n_avg, m_width) fitted once.
-
-    Called with a row's SynthesisParams, it returns that row's fits. Rows of
-    one key differ only in n_osc, which the fit stage does not read. Each key
-    has its own lock: a row waits for a fit of its key already running, while
-    fits of different keys run at the same time on worker threads. A fit that
-    raises is not stored, so the next row of its key fits again and fails the
-    same way.
-    """
-
-    def __init__(self, fit: Callable[[SynthesisParams], WindowFits]):
-        self._fit = fit
-        self._lock = threading.Lock()
-        self._key_locks = {}
-        self._fits = {}
-
-    def __call__(self, params: SynthesisParams) -> WindowFits:
-        key = (params.n_avg, params.m_width)
-        with self._lock:
-            key_lock = self._key_locks.setdefault(key, threading.Lock())
-        with key_lock:
-            if key not in self._fits:
-                self._fits[key] = self._fit(params)
-            return self._fits[key]
-
-
 def compute_row(
     cfg: ExperimentConfig,
     coords,
     inputs: tuple,
     reference: MeasureTrajectory,
-    window_fits: Optional[Callable[[SynthesisParams], WindowFits]] = None,
+    fit: Optional[Callable[[], WindowFits]] = None,
 ) -> tuple:
     """Synthesize at one sweep coordinate and measure the schedule's flow.
 
     ``inputs`` is :meth:`ExperimentConfig.build_inputs`'s (mu0, muf, field)
     and ``reference`` the field's flow from mu0 on the config's snapshot grid.
-    ``window_fits`` supplies the fit stage's result for the row's params (a
-    sweep's :class:`_FitMemo`); by default the row fits on its own. Returns
+    ``fit`` returns the fit stage's result for the row's (n_avg, m_width)
+    (a sweep group's shared fit); by default the row fits on its own. Returns
     (synthesis result, report, synthesized trajectory, sup_w2, final_w2),
     where the report is the synthesis report's JSON dict plus the
     synthesized flow's ``support_growth`` check. ``final_w2`` is measured
@@ -423,11 +396,10 @@ def compute_row(
     snapshot for trajectory configs.
     """
     mu0, muf, vf = inputs
-    window_fits = window_fits or _FitMemo(partial(fit_windows, vf, mu0))
     params = cfg.synthesis_params(coords)
-    result = schedule_windows(window_fits(params), params)
+    fits = fit() if fit is not None else fit_windows(vf, mu0, params)
+    result = schedule_windows(fits, params)
     synthesized = integrate_flow(result.schedule, mu0, cfg.integrator(vf.horizon))
-    fits = result.report.fits
     report = result.report.to_json_dict()
     # the synthesized flow's containment in Omega = B_{R+r}(0), where the fit holds
     report["support_growth"] = support_growth_check(
@@ -461,16 +433,16 @@ def _execute_row(
     coords,
     inputs: tuple,
     reference: MeasureTrajectory,
-    window_fits: Callable[[SynthesisParams], WindowFits],
+    fit: Callable[[], WindowFits],
     fingerprint: str,
 ) -> ResultRow:
     """Compute one sweep row into a fresh ``rows/<key>/``; never raises.
 
-    ``inputs``, ``reference`` and ``window_fits`` are the sweep's own, shared
-    by every row; the row writes only its own directory, so rows may run on
-    concurrent threads. The directory is cleared first, so a rerun leaves
-    none of an earlier run's artifacts next to this row's. ``row.json``
-    records the config's ``fingerprint`` for ``resume``.
+    ``inputs`` and ``reference`` are the sweep's own, shared by every row,
+    and ``fit`` is the row's group's; the row writes only its own directory,
+    so groups may run on concurrent threads. The directory is cleared first,
+    so a rerun leaves none of an earlier run's artifacts next to this row's.
+    ``row.json`` records the config's ``fingerprint`` for ``resume``.
     """
     row_dir = out_dir / "rows" / row_key(coords)
     if row_dir.exists():
@@ -478,7 +450,7 @@ def _execute_row(
     row_dir.mkdir(parents=True)
     start = time.perf_counter()
     try:
-        result, report, synthesized, sup_err, final_err = compute_row(cfg, coords, inputs, reference, window_fits)
+        result, report, synthesized, sup_err, final_err = compute_row(cfg, coords, inputs, reference, fit)
 
         _atomic_write(row_dir / "schedule.json", result.schedule.to_json() + "\n")
         _write_json(row_dir / "report.json", report)
@@ -550,15 +522,17 @@ def _write_manifest(cfg: ExperimentConfig, out_dir: Path, rows: Sequence[ResultR
 def _run_experiment(cfg: ExperimentConfig, kind: str, out_dir, parallel: int, resume: bool) -> ResultTable:
     """Run every row of a ``kind`` config on the sweep's shared inputs and reference.
 
-    Rows that share (n_avg, m_width) share one fit: the sweep's
-    :class:`_FitMemo`, dropped when the sweep returns, fits each key once, in
-    the ``wall_s`` of the row that needs it first. ``parallel > 1`` runs rows
-    on up to that many worker threads (at most one per row), where
-    fits of different keys may run at the same time; otherwise rows run in
-    order on the calling thread. With ``resume``, a row computed under the
-    same config (see :func:`_config_fingerprint`) whose artifacts remain is
-    kept as is. A config of another kind, ``parallel`` below 1, or inputs
-    that fail to build fail before anything is written.
+    The sorted sweep points split into (n_avg, m_width) groups. A group runs
+    its rows in n_osc order on one thread and shares one fit, made by its
+    first computed row and counted in that row's ``wall_s``; a fit that
+    raises is not kept, so each row of its group fails the same way, and a
+    group whose rows all resume never fits. ``parallel > 1`` runs groups on
+    up to that many worker threads; otherwise groups run in order on the
+    calling thread. Either way the rows come back in sweep-point order.
+    With ``resume``, a row computed under the same config (see
+    :func:`_config_fingerprint`) whose artifacts remain is kept as is. A
+    config of another kind, ``parallel`` below 1, or inputs that fail to
+    build fail before anything is written.
     """
     if cfg.kind != kind:
         raise ConfigError(f"{kind} sweep got a {cfg.kind!r} config")
@@ -572,18 +546,21 @@ def _run_experiment(cfg: ExperimentConfig, kind: str, out_dir, parallel: int, re
 
     fingerprint = _config_fingerprint(cfg)
     mu0, _, vf = inputs
-    window_fits = _FitMemo(partial(fit_windows, vf, mu0))
 
-    def run_row(coords) -> ResultRow:
-        prior = _load_completed_row(out_dir, coords, fingerprint) if resume else None
-        return prior or _execute_row(cfg, out_dir, coords, inputs, reference, window_fits, fingerprint)
+    def run_group(points) -> list:
+        fit = cache(partial(fit_windows, vf, mu0, cfg.synthesis_params(points[0])))
+        rows = []
+        for coords in points:
+            prior = _load_completed_row(out_dir, coords, fingerprint) if resume else None
+            rows.append(prior or _execute_row(cfg, out_dir, coords, inputs, reference, fit, fingerprint))
+        return rows
 
-    points = cfg.sweep_points()
+    groups = [list(points) for _, points in groupby(cfg.sweep_points(), key=lambda coords: coords[:2])]
     if parallel > 1:
         with ThreadPoolExecutor(max_workers=parallel) as pool:
-            rows = tuple(pool.map(run_row, points))
+            rows = tuple(chain.from_iterable(pool.map(run_group, groups)))
     else:
-        rows = tuple(map(run_row, points))
+        rows = tuple(chain.from_iterable(map(run_group, groups)))
     _write_results_csv(out_dir, rows)
     _write_manifest(cfg, out_dir, rows)
     return ResultTable(config=cfg, rows=rows, out_dir=out_dir)

@@ -18,7 +18,7 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -193,7 +193,6 @@ class ParticleEnsemble:
     """Equal-weight empirical measure: n points in R^d, each of mass 1/n."""
 
     points: np.ndarray
-    provenance: Optional[dict] = field(default=None, compare=False)
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -411,8 +410,7 @@ def sample_measure(spec: MeasureSpec, n: int, seed: int) -> ParticleEnsemble:
     pts = spec._sample(np.random.default_rng(seed), n)
     if len(pts) != n:
         raise MeasureSpecError(f"{spec.kind} has {len(pts)} points, n = {n}")
-    provenance = {"spec": spec.to_dict(), "n": n, "seed": seed, "rng": RNG_ALGORITHM}
-    return ParticleEnsemble(pts, provenance=provenance)
+    return ParticleEnsemble(pts)
 
 
 def support_radius(ens: ParticleEnsemble, center: Sequence[float]) -> float:

@@ -1,9 +1,7 @@
 import json
 import math
 import os
-import sys
 import threading
-import time
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +12,6 @@ import nodesteer.synthesis as synthesis
 from nodesteer.cli import EXIT_CONFIG, main
 from nodesteer.flow import MeasureTrajectory, support_growth_check
 from nodesteer.measures import ParticleEnsemble
-from nodesteer.synthesis import SynthesisParams
 from nodesteer.harness import (
     ConfigError,
     ExperimentConfig,
@@ -523,7 +520,7 @@ class TestTrajectoryExperiment:
         assert check["passed"] is False
         assert check["first_violation"] == (float(traj.times[1]), 5)
 
-    def test_support_containment_is_null_for_a_measure_at_the_origin(self, tmp_path):
+    def test_support_containment_is_checked_for_a_measure_at_the_origin(self, tmp_path):
         raw = _trajectory_raw(
             n_particles=1,
             initial_measure={"kind": "explicit-points", "params": {"points": [[0.0, 0.0]]}},
@@ -592,14 +589,19 @@ class TestEndpointExperiment:
         monkeypatch.setattr(ExperimentConfig, "build_inputs", recording_build_inputs)
         monkeypatch.setattr(harness, "compute_row", recording_compute_row)
         raw = _endpoint_raw()
-        raw["synthesis"]["n_osc"] = [1, 2, 4]
+        raw["synthesis"].update(m_width=[8, 16], n_osc=[1, 2, 4])
         table = run_endpoint_experiment(ExperimentConfig.from_dict(raw), tmp_path, parallel=parallel)
-        assert [r.status for r in table.rows] == ["ok"] * 3
+        assert [r.status for r in table.rows] == ["ok"] * 6
         assert len(built) == 1
         assert sorted(coords for coords, *_ in ran) == [r.coords for r in table.rows]
         assert all(pid == os.getpid() and inputs is built[0] for _, pid, _, inputs in ran)
         if parallel == 1:
             assert {thread for _, _, thread, _ in ran} == {threading.get_ident()}
+        # each (n_avg, m) group runs its rows on one thread, in n_osc order
+        for m in (8, 16):
+            group = [(coords, thread) for coords, _, thread, _ in ran if coords[:2] == (1, m)]
+            assert [coords for coords, _ in group] == [(1, m, 1), (1, m, 2), (1, m, 4)]
+            assert len({thread for _, thread in group}) == 1
 
 
 def _count_fits(monkeypatch):
@@ -654,36 +656,6 @@ class TestSharedFits:
         assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
         assert not out.exists()
         assert widths == []
-
-    def test_memo_fits_each_key_once_under_contention(self):
-        fitted = []
-
-        def fit(params):
-            fitted.append((params.n_avg, params.m_width))
-            time.sleep(0.002)
-            return object()
-
-        memo = harness._FitMemo(fit)
-        params = [SynthesisParams(n_avg=a, m_width=m, n_osc=k) for a in (1, 2) for m in (4, 8) for k in (1, 2, 4)]
-        seen = {}
-
-        def worker(i):
-            for p in params[i % len(params):] + params[: i % len(params)]:
-                seen.setdefault((p.n_avg, p.m_width), set()).add(id(memo(p)))
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=worker, args=(i,)) for i in range(16)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=30)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert sorted(fitted) == [(1, 4), (1, 8), (2, 4), (2, 8)]
-        assert all(len(ids) == 1 for ids in seen.values())
 
     @pytest.mark.parametrize("parallel", [1, 2])
     def test_a_failing_fit_fails_every_row_of_its_key(self, tmp_path, monkeypatch, parallel):

@@ -126,13 +126,6 @@ class TestSampleMeasure:
         assert np.array_equal(a.points, b.points)
         assert not np.array_equal(a.points, c.points)
 
-    def test_provenance_recorded(self):
-        spec = MeasureSpec("uniform-ball", {"center": [0.0], "radius": 2.0})
-        ens = sample_measure(spec, 5, 9)
-        assert ens.provenance["seed"] == 9
-        assert ens.provenance["rng"] == "numpy-pcg64"
-        assert ens.provenance["spec"]["kind"] == "uniform-ball"
-
     def test_uniform_ball_inside(self):
         spec = MeasureSpec("uniform-ball", {"center": [1.0, 1.0], "radius": 0.5})
         ens = sample_measure(spec, 400, 0)
