@@ -9,9 +9,9 @@ the 2-Wasserstein metric.
 from .fields import (
     BoundDeclarationError,
     BoundEstimate,
+    ControlSchedule,
     NeuralField,
     NeuralTerm,
-    PiecewiseConstField,
     VectorFieldSpec,
     benchmark_field,
     estimate_bounds,
@@ -44,7 +44,6 @@ from .measures import (
     support_radius,
 )
 from .synthesis import (
-    ControlSchedule,
     SuperpositionFit,
     SynthesisParams,
     SynthesisReport,
@@ -53,7 +52,6 @@ from .synthesis import (
     fit_superposition,
     oscillation_schedule,
     synthesize_controls,
-    time_average,
 )
 from .transport import Coupling, W2Result, sup_w2, w2_bruteforce, w2_exact
 
@@ -75,7 +73,6 @@ __all__ = [
     "NeuralField",
     "NeuralTerm",
     "ParticleEnsemble",
-    "PiecewiseConstField",
     "Region",
     "ResultRow",
     "ResultTable",
@@ -101,7 +98,6 @@ __all__ = [
     "support_growth_check",
     "support_radius",
     "synthesize_controls",
-    "time_average",
     "w2_bruteforce",
     "w2_exact",
 ]

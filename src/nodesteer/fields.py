@@ -8,7 +8,9 @@ kinds are
   m >= 1 terms, time-independent, the class of admissible right-hand sides,
 * :class:`VectorFieldSpec` -- an arbitrary evaluator with declared sup-norm and
   Lipschitz bounds over a region, validated against sampled estimates,
-* :class:`PiecewiseConstField` -- static pieces on consecutive time windows.
+* :class:`ControlSchedule` -- one logistic term active on each of consecutive
+  time windows, the piecewise-constant weights of a neural ODE; it round-trips
+  through its ``schedule.json`` form.
 
 Every term's activation Sigma is the logistic function :func:`logistic`,
 whose Lipschitz constant is 1/4. A term :class:`NeuralTerm` evaluates itself,
@@ -21,6 +23,7 @@ number rule measure params follow; the shared ``horizon`` is read once.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -146,23 +149,39 @@ class NeuralField:
         return float(sum(np.linalg.norm(t.A, 2) for t in self.terms))
 
 
-class PiecewiseConstField:
-    """Static fields on consecutive windows; piece j governs [t_j, t_{j+1}).
+class ControlSchedule:
+    """Piecewise-constant weights: one (A, W, theta) triple active per piece.
 
-    Evaluation is right-continuous in t; t = T uses the last piece. Pieces are
-    maps x -> velocity (a callable on (n, d) arrays, or a NeuralField).
+    Piece j governs [t_j, t_{j+1}); evaluation is right-continuous in t and
+    t = T uses the last piece. Evaluation at (t, x) with active piece
+    (A, W, theta) is A Sigma(W x + theta), the piece's own call, so the
+    schedule is an admissible neural-ODE right-hand side by construction.
+    ``schedule.json`` holds its breakpoints, its pieces' ``NeuralTerm``
+    dicts and ``"activation": "logistic"``; loading accepts no other value.
     """
 
-    def __init__(self, breakpoints: Sequence[float], pieces: Sequence):
+    def __init__(self, breakpoints: Sequence[float], pieces: Sequence[NeuralTerm]):
         bp = np.asarray(breakpoints, dtype=float)
         if bp.ndim != 1 or bp.size < 2 or not np.all(np.diff(bp) > 0):
             raise ValueError("breakpoints must be strictly increasing with >= 2 entries")
         if len(pieces) != bp.size - 1:
             raise ValueError(f"{bp.size - 1} windows but {len(pieces)} pieces")
+        if not all(isinstance(p, NeuralTerm) for p in pieces):
+            raise ValueError("every schedule piece must be a single NeuralTerm")
+        if any(p.dim != pieces[0].dim for p in pieces):
+            raise ValueError("all pieces must share one dimension")
         bp = bp.copy()
         bp.setflags(write=False)
         self.breakpoints = bp
         self.pieces = list(pieces)
+
+    @property
+    def dim(self) -> int:
+        return self.pieces[0].dim
+
+    @property
+    def piece_count(self) -> int:
+        return len(self.pieces)
 
     @property
     def horizon(self) -> float:
@@ -174,11 +193,34 @@ class PiecewiseConstField:
         j = int(np.searchsorted(self.breakpoints, t, side="right")) - 1
         return min(max(j, 0), len(self.pieces) - 1)
 
-    def static_piece(self, j: int) -> Callable[[np.ndarray], np.ndarray]:
+    def static_piece(self, j: int) -> NeuralTerm:
         return self.pieces[j]
 
     def velocity(self, t: float, x: np.ndarray) -> np.ndarray:
         return self.static_piece(self.piece_index(t))(x)
+
+    def to_json_dict(self) -> dict:
+        return {
+            "activation": "logistic",
+            "breakpoints": self.breakpoints.tolist(),
+            "pieces": [p.to_dict() for p in self.pieces],
+        }
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_json_dict())
+
+    @staticmethod
+    def from_json_dict(d: Mapping) -> "ControlSchedule":
+        if d["activation"] != "logistic":
+            raise ValueError(f"schedule pieces are logistic, got activation {d['activation']!r}")
+        return ControlSchedule(
+            np.asarray(d["breakpoints"], dtype=float),
+            [NeuralTerm.from_dict(p) for p in d["pieces"]],
+        )
+
+    @staticmethod
+    def from_json(text: str) -> "ControlSchedule":
+        return ControlSchedule.from_json_dict(json.loads(text))
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,10 @@
 
 Each particle is integrated independently (the flow map applied pointwise),
 so the recorded ensembles are the exact pushforward of the initial measure
-modulo ODE-solver error. Steps never straddle a breakpoint of a piecewise
-field: the step grid is subdivided at every breakpoint and at every requested
-snapshot time, and within a window the active piece is frozen.
+modulo ODE-solver error. Steps never straddle a breakpoint of a
+:class:`~nodesteer.fields.ControlSchedule`: the step grid is subdivided at
+every breakpoint and at every requested snapshot time, and within a window
+the active piece is frozen.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .fields import PiecewiseConstField
+from .fields import ControlSchedule
 from .measures import ParticleEnsemble
 from .transport import _max_w2
 
@@ -155,11 +156,10 @@ def integrate_flow(vf, mu0: ParticleEnsemble, cfg: IntegratorConfig) -> MeasureT
     t_end = float(snaps_req[-1])
     if vf.horizon < t_end - 1e-12:
         raise ValueError(f"field horizon {vf.horizon} < final snap time {t_end}")
-    dim = getattr(vf, "dim", None)
-    if dim and mu0.dim != dim:
-        raise ValueError(f"ensemble is {mu0.dim}-dimensional, field is {dim}")
+    if mu0.dim != vf.dim:
+        raise ValueError(f"ensemble is {mu0.dim}-dimensional, field is {vf.dim}")
 
-    piecewise = isinstance(vf, PiecewiseConstField)
+    piecewise = isinstance(vf, ControlSchedule)
     internal = vf.breakpoints if piecewise else np.empty(0)
     internal = internal[(internal > 0.0) & (internal < t_end)]
     boundaries = np.unique(np.concatenate([snaps_req, internal]))

@@ -69,6 +69,12 @@ def _object(value, where: str, allowed: set, required: set = frozenset()) -> Map
     return value
 
 
+def _spec_entry(raw: Mapping, key: str, name: str) -> dict:
+    """The config's ``key`` object normalized to {name: ..., "params": a deep copy of its params}."""
+    entry = _object(raw[key], key, {name, "params"}, {name})
+    return {name: entry[name], "params": copy.deepcopy(dict(entry.get("params", {})))}
+
+
 def _count(value, name: str, minimum: int) -> int:
     count = _number(value, name, integer=True)
     if count < minimum:
@@ -124,14 +130,14 @@ class ExperimentConfig:
         defaults = SynthesisParams()
         try:
             # each spec checks its params as it is built
-            entry = _object(raw["initial_measure"], "initial_measure", {"kind", "params"}, {"kind"})
-            specs = {"initial_measure": MeasureSpec(entry["kind"], dict(entry.get("params", {})))}
+            initial = _spec_entry(raw, "initial_measure", "kind")
+            specs = {"initial_measure": MeasureSpec(**initial)}
             dim = specs["initial_measure"].dim
             config = {
                 "kind": kind,
                 "seed": _count(raw["seed"], "seed", 0),
                 "n_particles": _count(raw["n_particles"], "n_particles", 1),
-                "initial_measure": specs["initial_measure"].to_dict(),
+                "initial_measure": initial,
                 "synthesis": {
                     "n_avg": _int_list(syn.get("n_avg", defaults.n_avg), "synthesis.n_avg"),
                     "m_width": _int_list(syn.get("m_width", defaults.m_width), "synthesis.m_width"),
@@ -161,17 +167,15 @@ class ExperimentConfig:
             if smoothing <= 0:
                 raise ConfigError("smoothing must be positive")
             if "field" in raw:
-                entry = _object(raw["field"], "field", {"name", "params"}, {"name"})
-                config["field"] = {"name": entry["name"], "params": copy.deepcopy(dict(entry.get("params", {})))}
+                config["field"] = _spec_entry(raw, "field", "name")
                 specs["field"] = benchmark_field(**config["field"])
             if "target_measure" in raw:
-                entry = _object(raw["target_measure"], "target_measure", {"kind", "params"}, {"kind"})
-                params = dict(entry.get("params", {}))
+                config["target_measure"] = entry = _spec_entry(raw, "target_measure", "kind")
+                params = entry["params"]
                 if entry["kind"] != "translate-of-initial":
-                    specs["target_measure"] = MeasureSpec(entry["kind"], params)
+                    specs["target_measure"] = MeasureSpec(**entry)
                 elif set(params) != {"offset"} or _numbers(params["offset"], "offset").shape != (dim,):
                     raise ConfigError(f"translate-of-initial takes one param, an offset of {dim} numbers")
-                config["target_measure"] = {"kind": entry["kind"], "params": copy.deepcopy(params)}
                 config["smoothing"] = smoothing
             if target in specs and specs[target].dim != dim:
                 raise ConfigError(f"initial_measure is {dim}-dimensional, {target} is {specs[target].dim}")

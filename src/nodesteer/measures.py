@@ -259,21 +259,6 @@ class MeasureSpec:
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "_sample", sample)
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "params": _jsonable(self.params)}
-
-
-def _jsonable(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, Mapping):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    return obj
-
 
 # each kind returns (dim, sampler); a sampler maps (rng, n) to n points
 _KINDS = _Registry("measure kind", MeasureSpecError)

@@ -1,91 +1,37 @@
 """Constructive synthesis of piecewise-constant neural-ODE control schedules.
 
 The pipeline turns a bounded Lipschitz target field into an admissible weight
-schedule in two stages. The fit stage (:func:`fit_windows`) time-averages the
-field over windows and fits one logistic superposition per window on a
-compact set sized from the declared bounds, by random features and one ridge
-solve whose scale, ridge weight and grid are fixed constants; it depends on
-nothing but its inputs. The schedule stage (:func:`schedule_windows`)
-switches each fitted superposition in a periodic oscillation whose
-period-mean reproduces it exactly. Only the schedule stage reads the period
-count n_osc, so one fit serves every n_osc. :class:`SynthesisParams` rejects
-knobs whose schedule would exceed ``MAX_SCHEDULE_PIECES`` pieces, so no stage
-checks the cap again, and a run's :class:`SynthesisReport` is a view of the
-fit stage's :class:`WindowFits`. A schedule's pieces are single
-logistic terms (:class:`~nodesteer.fields.NeuralTerm`), so ``schedule.json``
-records ``"activation": "logistic"`` and loading accepts no other value. A
-displacement-interpolation target builder covers the steering problem between
-two given ensembles.
+schedule (:class:`~nodesteer.fields.ControlSchedule`) in two stages. The fit
+stage (:func:`fit_windows`) splits the horizon into n_avg equal windows,
+takes each window's time average of the field (the field's own
+superposition when it declares one, else composite Simpson quadrature) and
+fits one logistic superposition per window on a compact set sized from the
+declared bounds, by random features and one ridge solve whose scale, ridge
+weight and grid are fixed constants; it depends on nothing but its inputs.
+The schedule stage (:func:`schedule_windows`) switches each fitted
+superposition in a periodic oscillation whose period-mean reproduces it
+exactly. Only the schedule stage reads the period count n_osc, so one fit
+serves every n_osc. :class:`SynthesisParams` rejects knobs whose schedule
+would exceed ``MAX_SCHEDULE_PIECES`` pieces, so no stage checks the cap
+again, and a run's :class:`SynthesisReport` is a view of the fit stage's
+:class:`WindowFits`. A displacement-interpolation target builder covers the
+steering problem between two given ensembles.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .fields import (
-    NeuralField,
-    NeuralTerm,
-    PiecewiseConstField,
-    VectorFieldSpec,
-    logistic,
-)
+from .fields import ControlSchedule, NeuralField, NeuralTerm, VectorFieldSpec, logistic
 from .measures import ParticleEnsemble, Region, support_radius
 from .transport import _sq_norm, w2_exact
 
 MAX_SCHEDULE_PIECES = 1_000_000
 
 SIMPSON_SUBINTERVALS = 64
-
-
-class ControlSchedule(PiecewiseConstField):
-    """Piecewise-constant weights: one (A, W, theta) triple active per piece.
-
-    Evaluation at (t, x) with active piece (A, W, theta) is A Sigma(W x + theta),
-    the piece's own call, so the schedule is an admissible neural-ODE
-    right-hand side by construction.
-    """
-
-    def __init__(self, breakpoints: Sequence[float], pieces: Sequence[NeuralTerm]):
-        super().__init__(breakpoints, pieces)
-        if not all(isinstance(p, NeuralTerm) for p in self.pieces):
-            raise ValueError("every schedule piece must be a single NeuralTerm")
-        if any(p.dim != self.pieces[0].dim for p in self.pieces):
-            raise ValueError("all pieces must share one dimension")
-
-    @property
-    def dim(self) -> int:
-        return self.pieces[0].dim
-
-    @property
-    def piece_count(self) -> int:
-        return len(self.pieces)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "activation": "logistic",
-            "breakpoints": self.breakpoints.tolist(),
-            "pieces": [p.to_dict() for p in self.pieces],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
-    @staticmethod
-    def from_json_dict(d: Mapping) -> "ControlSchedule":
-        if d["activation"] != "logistic":
-            raise ValueError(f"schedule pieces are logistic, got activation {d['activation']!r}")
-        return ControlSchedule(
-            np.asarray(d["breakpoints"], dtype=float),
-            [NeuralTerm.from_dict(p) for p in d["pieces"]],
-        )
-
-    @staticmethod
-    def from_json(text: str) -> "ControlSchedule":
-        return ControlSchedule.from_json_dict(json.loads(text))
 
 
 @dataclass(frozen=True)
@@ -125,46 +71,31 @@ class SynthesisParams:
 # -- window time averages ------------------------------------------------------
 
 
-def _simpson_coefficients(subintervals: int) -> np.ndarray:
-    if subintervals % 2:
-        raise ValueError("composite Simpson needs an even subinterval count")
-    c = np.ones(subintervals + 1)
-    c[1:-1:2] = 4.0
-    c[2:-1:2] = 2.0
-    return c
+# composite Simpson weights 1, 4, 2, 4, ..., 2, 4, 1 on an even subinterval count
+_SIMPSON_COEFFICIENTS = np.ones(SIMPSON_SUBINTERVALS + 1)
+_SIMPSON_COEFFICIENTS[1:-1:2] = 4.0
+_SIMPSON_COEFFICIENTS[2:-1:2] = 2.0
 
 
-def _quadrature_window_average(vf, a: float, b: float) -> Callable[[np.ndarray], np.ndarray]:
+def _window_average(vf: VectorFieldSpec, a: float, b: float) -> Callable[[np.ndarray], np.ndarray]:
+    """The map x -> (1/(b-a)) * integral of V_tau(x) over [a, b].
+
+    It is the field's own superposition when it declares one
+    (``vf.static_superposition``), else composite Simpson quadrature.
+    """
+    if vf.static_superposition is not None:
+        return vf.static_superposition
     ts = np.linspace(a, b, SIMPSON_SUBINTERVALS + 1)
-    coeff = _simpson_coefficients(SIMPSON_SUBINTERVALS)
-    total = coeff.sum()
+    total = _SIMPSON_COEFFICIENTS.sum()
 
     def piece(x: np.ndarray) -> np.ndarray:
         vals = np.stack([vf.velocity(float(t), x) for t in ts])
         if np.all(vals == vals[0]):
             # constant over the window: the average is the value, exactly
             return vals[0].copy()
-        return np.tensordot(coeff, vals, axes=1) / total
+        return np.tensordot(_SIMPSON_COEFFICIENTS, vals, axes=1) / total
 
     return piece
-
-
-def time_average(vf: VectorFieldSpec, N: int) -> PiecewiseConstField:
-    """Average the field over N equal windows of [0, vf.horizon].
-
-    Piece n evaluates (N/T) * integral of V_tau(x) over window n: as the field
-    itself when it declares a time-independent superposition
-    (``vf.static_superposition``), else by composite Simpson quadrature.
-    """
-    if N < 1:
-        raise ValueError("window count N must be >= 1")
-    windows = np.linspace(0.0, vf.horizon, N + 1)
-    if vf.static_superposition is not None:
-        return PiecewiseConstField(windows, [vf.static_superposition] * N)
-    pieces = [
-        _quadrature_window_average(vf, float(a), float(b)) for a, b in zip(windows[:-1], windows[1:])
-    ]
-    return PiecewiseConstField(windows, pieces)
 
 
 # -- superposition fitting ------------------------------------------------------
@@ -187,9 +118,12 @@ class SuperpositionFit:
     field: NeuralField
     sup_error: float
     tolerance: float
-    tolerance_met: bool
     train_points: int
     validation_points: int
+
+    @property
+    def tolerance_met(self) -> bool:
+        return self.sup_error <= self.tolerance
 
     def to_dict(self) -> dict:
         return {
@@ -274,7 +208,6 @@ def fit_superposition(
         field=nf,
         sup_error=err,
         tolerance=float(tol),
-        tolerance_met=bool(err <= tol),
         train_points=train.shape[0],
         validation_points=validation.shape[0],
     )
@@ -381,7 +314,7 @@ def fit_windows(
     not read.
     """
     d = mu0.dim
-    if vf.dim and vf.dim != d:
+    if vf.dim != d:
         raise ValueError(f"ensemble is {d}-dimensional, field is {vf.dim}")
     T = vf.horizon
     C = vf.bound_C
@@ -390,21 +323,17 @@ def fit_windows(
     R = params.region_margin * T * (C + delta)
     omega = Region("ball", np.zeros(d), np.array([R + r]))
 
-    averaged = time_average(vf, params.n_avg)
-    seeds = _window_seeds(params.seed, params.n_avg)
-
-    windows, fits = [], []
-    for w in range(params.n_avg):
-        windows.append((float(averaged.breakpoints[w]), float(averaged.breakpoints[w + 1])))
-        target = averaged.static_piece(w)
+    edges = np.linspace(0.0, T, params.n_avg + 1)
+    windows = tuple((float(a), float(b)) for a, b in zip(edges[:-1], edges[1:]))
+    fits = []
+    for (a, b), seed in zip(windows, _window_seeds(params.seed, params.n_avg)):
+        target = _window_average(vf, a, b)
         # a window target that is already admissible warm-starts with its own terms
         admissible = isinstance(target, NeuralField) and target.width <= params.m_width
         fits.append(
-            fit_superposition(
-                target, omega, params.m_width, delta, seeds[w], target.terms if admissible else None
-            )
+            fit_superposition(target, omega, params.m_width, delta, seed, target.terms if admissible else None)
         )
-    return WindowFits(d, r, R, C, delta, tuple(windows), tuple(fits))
+    return WindowFits(d, r, R, C, delta, windows, tuple(fits))
 
 
 def schedule_windows(fits: WindowFits, params: SynthesisParams) -> SynthesisResult:
@@ -419,14 +348,12 @@ def schedule_windows(fits: WindowFits, params: SynthesisParams) -> SynthesisResu
     for (a, b), fit in zip(fits.windows, fits.fits):
         if all(np.all(t.A == 0.0) for t in fit.field.terms):
             # zero window: a single quiescent piece instead of an oscillation
-            window_schedule = ControlSchedule(
-                np.array([a, b]),
-                [NeuralTerm(np.zeros((d, d)), np.eye(d), np.zeros(d))],
-            )
+            all_breakpoints.append(b)
+            all_pieces.append(NeuralTerm(np.zeros((d, d)), np.eye(d), np.zeros(d)))
         else:
             window_schedule = oscillation_schedule(fit.field, (a, b), params.n_osc)
-        all_breakpoints.extend(window_schedule.breakpoints[1:].tolist())
-        all_pieces.extend(window_schedule.pieces)
+            all_breakpoints.extend(window_schedule.breakpoints[1:].tolist())
+            all_pieces.extend(window_schedule.pieces)
 
     schedule = ControlSchedule(np.asarray(all_breakpoints), all_pieces)
     return SynthesisResult(schedule, SynthesisReport(params, fits, schedule.piece_count))

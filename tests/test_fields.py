@@ -5,9 +5,9 @@ from scipy.spatial.distance import pdist, squareform
 from nodesteer.fields import (
     LOGISTIC_LIPSCHITZ,
     BoundDeclarationError,
+    ControlSchedule,
     NeuralField,
     NeuralTerm,
-    PiecewiseConstField,
     Region,
     VectorFieldSpec,
     _pairwise_distances,
@@ -104,12 +104,17 @@ class TestNeuralField:
         assert (lhs <= rhs + 1e-12).all()
 
 
+def _constant_term(v) -> NeuralTerm:
+    """The term with velocity v everywhere: W = 0, theta = 0 give Sigma = 1/2, so A = 2 diag(v)."""
+    v = np.asarray(v, dtype=float)
+    return NeuralTerm(2.0 * np.diag(v), np.zeros((v.size, v.size)), np.zeros(v.size))
+
+
 class TestPiecewiseConstField:
+    """ControlSchedule as a piecewise-constant field: breakpoints, piece lookup, dispatch."""
+
     def _field(self):
-        return PiecewiseConstField(
-            [0.0, 0.5, 1.0],
-            [lambda x: np.ones_like(x), lambda x: -np.ones_like(x)],
-        )
+        return ControlSchedule([0.0, 0.5, 1.0], [_constant_term([1.0, 1.0]), _constant_term([-1.0, -1.0])])
 
     def test_right_continuous_at_breakpoint(self):
         field = self._field()
@@ -132,11 +137,11 @@ class TestPiecewiseConstField:
 
     def test_breakpoints_must_increase(self):
         with pytest.raises(ValueError):
-            PiecewiseConstField([0.0, 0.0, 1.0], [lambda x: x, lambda x: x])
+            ControlSchedule([0.0, 0.0, 1.0], [_constant_term([1.0]), _constant_term([1.0])])
 
     def test_piece_count_mismatch(self):
         with pytest.raises(ValueError):
-            PiecewiseConstField([0.0, 1.0], [lambda x: x, lambda x: x])
+            ControlSchedule([0.0, 1.0], [_constant_term([1.0]), _constant_term([1.0])])
 
 
 class TestEstimateBounds:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nodesteer.fields import PiecewiseConstField, benchmark_field
+from nodesteer.fields import ControlSchedule, NeuralTerm, benchmark_field
 from nodesteer.flow import (
     DivergenceError,
     IntegratorConfig,
@@ -12,6 +12,12 @@ from nodesteer.flow import (
 )
 from nodesteer.measures import ParticleEnsemble, sample_measure, MeasureSpec
 from nodesteer.transport import w2_exact
+
+
+def _constant_term(v) -> NeuralTerm:
+    """The term with velocity v everywhere: W = 0, theta = 0 give Sigma = 1/2, so A = 2 diag(v)."""
+    v = np.asarray(v, dtype=float)
+    return NeuralTerm(2.0 * np.diag(v), np.zeros((v.size, v.size)), np.zeros(v.size))
 
 
 def _disk(n=100, seed=0, radius=1.0):
@@ -92,18 +98,17 @@ class TestIntegrateFlow:
 
     def test_dim_mismatch(self):
         vf = benchmark_field("rotation", {"omega": 1.0})
+        schedule = ControlSchedule([0.0, 1.0], [_constant_term([1.0, 0.0])])
         mu0 = ParticleEnsemble([[0.0, 0.0, 0.0]])
-        with pytest.raises(ValueError):
-            integrate_flow(vf, mu0, IntegratorConfig())
+        for field in (vf, schedule):
+            with pytest.raises(ValueError):
+                integrate_flow(field, mu0, IntegratorConfig())
 
     def test_switching_cancellation_with_coarse_step(self):
         # +v then -v must cancel exactly; base_step larger than the window
         # forces the integrator to subdivide at the breakpoint
         v = np.array([2.0, 1.0])
-        field = PiecewiseConstField(
-            [0.0, 0.5, 1.0],
-            [lambda x: np.broadcast_to(v, x.shape), lambda x: np.broadcast_to(-v, x.shape)],
-        )
+        field = ControlSchedule([0.0, 0.5, 1.0], [_constant_term(v), _constant_term(-v)])
         mu0 = _disk(15, seed=2)
         cfg = IntegratorConfig(base_step=0.3, snap_times=np.array([0.0, 0.5, 1.0]))
         traj = integrate_flow(field, mu0, cfg)
@@ -111,15 +116,10 @@ class TestIntegrateFlow:
         assert np.allclose(traj.final.points, mu0.points, atol=1e-14)
 
     def test_stage_evaluations_stay_in_piece(self):
-        # piece 1 returns NaN; an RK4 stage leaking past t = 0.5 would poison
-        # the state even though integration stops at 0.5
-        def bad(x):
-            return np.full_like(x, np.nan)
-
-        field = PiecewiseConstField(
-            [0.0, 0.5, 1.0],
-            [lambda x: np.ones_like(x), bad],
-        )
+        # piece 1 has gain 1e12; an RK4 stage leaking past t = 0.5 would throw
+        # the state far off even though integration stops at 0.5
+        huge = NeuralTerm(1e12 * np.eye(2), np.zeros((2, 2)), np.zeros(2))
+        field = ControlSchedule([0.0, 0.5, 1.0], [_constant_term([1.0, 1.0]), huge])
         mu0 = ParticleEnsemble([[0.0, 0.0]])
         cfg = IntegratorConfig(base_step=0.25, snap_times=np.array([0.0, 0.5]))
         traj = integrate_flow(field, mu0, cfg)

@@ -18,11 +18,12 @@ from nodesteer.synthesis import (
     _BLOCK_QUERIES,
     ControlSchedule,
     SynthesisParams,
+    _window_average,
     displacement_target_field,
     fit_superposition,
+    fit_windows,
     oscillation_schedule,
     synthesize_controls,
-    time_average,
 )
 from nodesteer.transport import sup_w2, w2_exact
 
@@ -104,13 +105,15 @@ class TestSynthesisParams:
 
 
 class TestTimeAverage:
+    """The fit stage's window target, the field's time average over one window."""
+
     def test_autonomous_identity_exact(self):
         vf = benchmark_field("rotation", {"omega": 1.0})
-        avg = time_average(vf, 4)
+        edges = np.linspace(0.0, 1.0, 5)
         x = np.random.default_rng(0).uniform(-2, 2, size=(30, 2))
         expect = vf.velocity(0.0, x)
-        for w in range(4):
-            assert np.array_equal(avg.static_piece(w)(x), expect)
+        for a, b in zip(edges[:-1], edges[1:]):
+            assert np.array_equal(_window_average(vf, a, b)(x), expect)
 
     def test_linear_in_time_halves(self):
         # V_t(x) = t * v on [0,1]: the average is v/2
@@ -123,9 +126,8 @@ class TestTimeAverage:
             horizon=1.0,
             region=region,
         )
-        avg = time_average(vf, 1)
         x = np.zeros((3, 2))
-        assert np.allclose(avg.static_piece(0)(x), np.broadcast_to(v / 2, (3, 2)), atol=1e-15)
+        assert np.allclose(_window_average(vf, 0.0, 1.0)(x), np.broadcast_to(v / 2, (3, 2)), atol=1e-15)
 
     def test_sine_window_averages(self):
         # V_t(x) = sin(2 pi t) v with two windows: averages are +-(2/pi) v
@@ -138,23 +140,20 @@ class TestTimeAverage:
             horizon=1.0,
             region=region,
         )
-        avg = time_average(vf, 2)
         x = np.zeros((2, 2))
+        first, second = _window_average(vf, 0.0, 0.5)(x), _window_average(vf, 0.5, 1.0)(x)
         # composite Simpson truncation on a half sine arch sits near 2e-8
-        assert np.allclose(avg.static_piece(0)(x), np.broadcast_to((2.0 / np.pi) * v, (2, 2)), rtol=1e-7)
-        assert np.allclose(avg.static_piece(1)(x), np.broadcast_to((-2.0 / np.pi) * v, (2, 2)), rtol=1e-7)
+        assert np.allclose(first, np.broadcast_to((2.0 / np.pi) * v, (2, 2)), rtol=1e-7)
+        assert np.allclose(second, np.broadcast_to((-2.0 / np.pi) * v, (2, 2)), rtol=1e-7)
 
     def test_static_superposition_is_every_window(self):
         term = _term(np.random.default_rng(1))
         vf = benchmark_field("neural-static", {"terms": [term.to_dict()], "horizon": 2.0})
-        avg = time_average(vf, 3)
-        assert np.array_equal(avg.breakpoints, np.linspace(0.0, 2.0, 4))
-        assert all(avg.static_piece(w) is vf.static_superposition for w in range(3))
-
-    def test_window_count_validated(self):
-        vf = benchmark_field("rotation", {"omega": 1.0})
-        with pytest.raises(ValueError):
-            time_average(vf, 0)
+        edges = np.linspace(0.0, 2.0, 4)
+        windows = tuple(zip(edges[:-1].tolist(), edges[1:].tolist()))
+        assert all(_window_average(vf, a, b) is vf.static_superposition for a, b in windows)
+        fits = fit_windows(vf, ParticleEnsemble([[0.0, 0.0]]), SynthesisParams(n_avg=3, m_width=1))
+        assert fits.windows == windows
 
 
 class TestFitSuperposition:
