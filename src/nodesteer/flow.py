@@ -136,6 +136,10 @@ class MeasureTrajectory:
 
 
 def _check_finite(x: np.ndarray, t: float) -> None:
+    # one reduction on the common path; a NaN fails the comparison and falls
+    # through to the particle search
+    if np.abs(x).max() <= DIVERGENCE_LIMIT:
+        return
     bad = ~np.isfinite(x) | (np.abs(x) > DIVERGENCE_LIMIT)
     if bad.any():
         particle = int(np.argwhere(bad.any(axis=1))[0][0])

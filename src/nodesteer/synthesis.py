@@ -379,6 +379,23 @@ def synthesize_controls(
 DISPLACEMENT_HORIZON = 1.0
 # query points per block of a displacement-field evaluation
 _BLOCK_QUERIES = 128
+# a query row whose unshifted kernel weights sum below this is redone with the
+# row-max shift; every weight kept is then far above the subnormal range
+_WEIGHT_FLOOR = 1e-100
+
+
+def _weighted_moves(lhs, logit_coef, moves_and_one, shift, out) -> None:
+    """Kernel-weighted sums of ``[moves | 1]``, ``_BLOCK_QUERIES`` rows at a time.
+
+    Row i of ``out`` is sum_j exp(l_ij) [moves_j | 1] with l = lhs @ logit_coef,
+    each row of l first shifted by its maximum when ``shift`` is set.
+    """
+    for start in range(0, len(lhs), _BLOCK_QUERIES):
+        w = lhs[start : start + _BLOCK_QUERIES] @ logit_coef
+        if shift:
+            w -= w.max(axis=1, keepdims=True)
+        np.exp(w, out=w)
+        np.matmul(w, moves_and_one, out=out[start : start + _BLOCK_QUERIES])
 
 
 def displacement_target_field(
@@ -391,15 +408,20 @@ def displacement_target_field(
     with the given Gaussian bandwidth. The field is a convex combination of
     the particle displacements, so its sup norm is exactly their largest norm.
 
-    Each evaluation writes the kernel logits -|x - a|^2 / (2h^2) as one
-    matmul, ``[x | 1] @ [a^T / h^2 ; -|a|^2 / (2h^2)]``, which drops the
-    -|x|^2 / (2h^2) term: it is constant along a row, and shifting each row by
-    its maximum cancels it anyway. After the shift every row's weight sum is
-    at least 1, so a query far from every anchor still takes its nearest
-    move. The weights are exponentiated in place and normalised by one matmul
-    against ``[moves | 1]``, whose last column is the weight sum that divides
-    the rest. Queries are taken ``_BLOCK_QUERIES`` rows at a time, so the
-    working set is one block of logits, never a whole n x n matrix.
+    Each evaluation writes the kernel logits -|x - a|^2 / (2h^2) about the
+    region centre c as one matmul,
+    ``[x - c | 1 | |x - c|^2] @ [(a - c)^T / h^2 ; -|a - c|^2 / (2h^2) ; -1 / (2h^2)]``,
+    so they need no shift: the logits are at most 0 up to rounding, and the
+    centring keeps the expanded terms as small as the region allows. The
+    weights are exponentiated in place and normalised by one matmul against
+    ``[moves | 1]``, whose last column is the weight sum that divides the
+    rest. A query whose weight sum is not finite or falls below
+    ``_WEIGHT_FLOOR`` (one far from every anchor, whose weights all underflow)
+    is redone with each logit row shifted by its maximum instead of carrying
+    |x - c|^2. After that shift the row's weight sum is at least 1, so such a
+    query still takes its nearest move. Queries are taken ``_BLOCK_QUERIES``
+    rows at a time, so the working set is one block of logits, never a whole
+    n x n matrix.
 
     The declared Lipschitz constant K (also ``params["lipschitz_K"]``) is an
     analytic bound that holds for every x and t. The field's Jacobian is
@@ -415,23 +437,35 @@ def displacement_target_field(
     moves = targets - x0
     max_move = float(np.max(np.linalg.norm(moves, axis=1)))
     inv_h2 = 1.0 / smoothing**2
+    mid = 0.5 * (x0.mean(axis=0) + targets.mean(axis=0))
 
+    x0_centred = x0 - mid
     moves_and_one = np.hstack([moves, np.ones((len(moves), 1))])
     d = moves.shape[1]
 
     def evaluator(t, x):
-        anchors = x0 + t * moves
-        logit_coef = np.vstack([anchors.T * inv_h2, -0.5 * inv_h2 * _sq_norm(anchors)])
-        x_and_one = np.hstack([x, np.ones((len(x), 1))])
+        anchors = x0_centred + t * moves
+        logit_coef = np.vstack(
+            [
+                anchors.T * inv_h2,
+                -0.5 * inv_h2 * _sq_norm(anchors),
+                np.full(len(anchors), -0.5 * inv_h2),
+            ]
+        )
+        xc = x - mid
+        lhs = np.hstack([xc, np.ones((len(x), 1)), _sq_norm(xc)[:, None]])
         out = np.empty((len(x), d + 1))
-        for start in range(0, len(x), _BLOCK_QUERIES):
-            w = x_and_one[start : start + _BLOCK_QUERIES] @ logit_coef
-            w -= w.max(axis=1, keepdims=True)
-            np.exp(w, out=w)
-            np.matmul(w, moves_and_one, out=out[start : start + _BLOCK_QUERIES])
+        _weighted_moves(lhs, logit_coef, moves_and_one, False, out)
+        sums = out[:, d]
+        redo = np.flatnonzero(~np.isfinite(sums) | (sums < _WEIGHT_FLOOR))
+        if redo.size:
+            redone = np.empty((redo.size, d + 1))
+            _weighted_moves(
+                lhs[redo, : d + 1], logit_coef[: d + 1], moves_and_one, True, redone
+            )
+            out[redo] = redone
         return out[:, :d] / out[:, d:]
 
-    mid = 0.5 * (x0.mean(axis=0) + targets.mean(axis=0))
     span = max(
         support_radius(mu0, mid), support_radius(ParticleEnsemble(targets), mid)
     )

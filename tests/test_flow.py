@@ -138,6 +138,20 @@ class TestIntegrateFlow:
             integrate_flow(Exploding(), mu0, IntegratorConfig(base_step=0.01))
         assert "particle" in str(err.value)
 
+    def test_nan_particle_is_named(self):
+        class NanAtThree:
+            dim = 2
+            horizon = 1.0
+
+            def velocity(self, t, x):
+                v = np.zeros_like(x)
+                v[3] = np.nan
+                return v
+
+        mu0 = ParticleEnsemble(np.arange(12.0).reshape(6, 2))
+        with pytest.raises(DivergenceError, match=r"particle 3 diverged"):
+            integrate_flow(NanAtThree(), mu0, IntegratorConfig(base_step=0.1))
+
     def test_provenance_records_field(self):
         vf = benchmark_field("rotation", {"omega": 1.0})
         traj = integrate_flow(vf, _disk(5), IntegratorConfig())

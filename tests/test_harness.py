@@ -6,12 +6,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
+from scipy.spatial.distance import cdist
 
 import nodesteer.harness as harness
 import nodesteer.synthesis as synthesis
 from nodesteer.cli import EXIT_CONFIG, main
 from nodesteer.flow import MeasureTrajectory, support_growth_check
-from nodesteer.measures import ParticleEnsemble
+from nodesteer.measures import ParticleEnsemble, Region
+from nodesteer.transport import w2_exact
 from nodesteer.harness import (
     ConfigError,
     ExperimentConfig,
@@ -551,6 +554,53 @@ class TestEndpointExperiment:
         cfg = ExperimentConfig.from_dict(_trajectory_raw())
         with pytest.raises(ConfigError):
             run_endpoint_experiment(cfg, tmp_path)
+
+    def test_two_moons_rows_and_field_check_out_independently(self, tmp_path):
+        # A non-constant target: unlike translate-of-initial, every row and
+        # velocity here depends on the kernel weights, not just their sum.
+        raw = _endpoint_raw(
+            n_particles=60,
+            smoothing=0.4,
+            target_measure={"kind": "two-moons", "params": {"center": [1.5, 0.0]}},
+        )
+        raw["synthesis"]["n_osc"] = [1, 4]
+        cfg = ExperimentConfig.from_dict(raw)
+        table = run_endpoint_experiment(cfg, tmp_path)
+        # m = 8 misses the fit tolerance on this target; the rows still run
+        assert [r.status for r in table.rows] == ["tolerance-miss"] * 2
+
+        def read(path):
+            return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+
+        def exact_w2(a, b):
+            cost = cdist(a, b, "sqeuclidean")
+            rows, cols = linear_sum_assignment(cost)
+            return math.sqrt(cost[rows, cols].sum() / len(a))
+
+        def snapshots(directory):
+            meta = json.loads((directory / "trajectory.json").read_text())
+            return [read(directory / name) for name in meta["snapshots"]]
+
+        reference = snapshots(tmp_path / "reference")
+        muf = read(tmp_path / "muf.csv")
+        for row in table.rows:
+            synthesized = snapshots(tmp_path / "rows" / row.key / "trajectory")
+            sup = max(exact_w2(a, b) for a, b in zip(synthesized, reference))
+            assert row.sup_w2 == pytest.approx(sup, rel=1e-12)
+            assert row.final_w2 == pytest.approx(exact_w2(synthesized[-1], muf), rel=1e-12)
+
+        # the field against a plain cdist softmax on the fit's training grid
+        mu0, muf_ens, vf = cfg.build_inputs()
+        h = raw["smoothing"]
+        moves = muf_ens.points[w2_exact(mu0, muf_ens).coupling.assignment] - mu0.points
+        report = json.loads((tmp_path / "rows" / table.rows[0].key / "report.json").read_text())
+        omega = Region("ball", np.zeros(2), np.array([report["omega_radius"]]))
+        grid = omega.grid(synthesis._grid_per_axis(2))
+        for t in (0.0, 0.37, 1.0):
+            sq = cdist(grid, mu0.points + t * moves, "sqeuclidean")
+            weights = np.exp(-(sq - sq.min(axis=1, keepdims=True)) / (2.0 * h**2))
+            weights /= weights.sum(axis=1, keepdims=True)
+            np.testing.assert_allclose(vf.velocity(t, grid), weights @ moves, rtol=1e-12, atol=0.0)
 
     def test_sequential_rows_reuse_the_sweep_inputs(self, tmp_path, monkeypatch):
         calls = {"sample_measure": 0, "displacement_target_field": 0, "load": 0}

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
+from scipy.special import logsumexp
 
 from nodesteer.fields import (
     NeuralField,
@@ -16,6 +17,7 @@ from nodesteer.flow import IntegratorConfig, integrate_flow
 from nodesteer.measures import MeasureSpec, ParticleEnsemble, sample_measure
 from nodesteer.synthesis import (
     _BLOCK_QUERIES,
+    _WEIGHT_FLOOR,
     ControlSchedule,
     SynthesisParams,
     _window_average,
@@ -460,6 +462,63 @@ class TestDisplacementTargetField:
             vel = vf.velocity(t, x)
             assert np.isfinite(vel).all()
             np.testing.assert_allclose(vel, moves[nearest], rtol=1e-12)
+
+    def test_far_cloud_with_narrow_bandwidth(self):
+        # At (1e7, 0) with h = 1e-3 the uncentred logits reach 1e20, whose
+        # rounding swamps the gaps between neighbours; the centred ones do not.
+        blob = self._blob(seed=6, n=40)
+        mu0 = blob.translate([1e7, 0.0])
+        muf = ParticleEnsemble(mu0.points + 0.5 * blob.points + np.array([1.0, 1.0]))
+        moves = muf.points[w2_exact(mu0, muf).coupling.assignment] - mu0.points
+        vf = displacement_target_field(mu0, muf, smoothing=1e-3)
+        for t in (0.0, 0.5, 1.0):
+            anchors = mu0.points + t * moves
+            vel = vf.velocity(t, anchors)
+            assert np.isfinite(vel).all()
+            np.testing.assert_allclose(vel, moves, rtol=1e-12)
+            far = 1e3 * anchors
+            nearest = cdist(far, anchors).argmin(axis=1)
+            vel = vf.velocity(t, far)
+            assert np.isfinite(vel).all()
+            np.testing.assert_allclose(vel, moves[nearest], rtol=1e-12)
+
+    def test_rows_either_side_of_the_weight_floor(self):
+        # Queries on rays from the region centre, placed where the unshifted
+        # weight sum crosses _WEIGHT_FLOOR: just inside, the row keeps its
+        # one-pass weights; just outside, it is redone with the max shift.
+        # A third set sits where those weights are subnormal, which only the
+        # redo keeps accurate.
+        mu0, muf, moves = self._scaled_pair()
+        h, t = 0.3, 0.37
+        vf = displacement_target_field(mu0, muf, smoothing=h)
+        anchors = mu0.points + t * moves
+
+        def logits(x):
+            return -cdist(x, anchors, "sqeuclidean") / (2.0 * h**2)
+
+        angles = np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False)
+        rays = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+
+        def radii_at(log_sum):
+            lo, hi = np.zeros(len(rays)), np.full(len(rays), 50.0)
+            for _ in range(200):
+                r = 0.5 * (lo + hi)
+                above = logsumexp(logits(vf.region.center + r[:, None] * rays), axis=1) > log_sum
+                lo, hi = np.where(above, r, lo), np.where(above, hi, r)
+            return lo, hi
+
+        log_floor = np.log(_WEIGHT_FLOOR)
+        inside, outside = radii_at(log_floor)
+        radii = [(1.0 - 1e-6) * inside, (1.0 + 1e-6) * outside, radii_at(np.log(1e-315))[0]]
+        x = vf.region.center + np.vstack([r[:, None] * rays for r in radii])
+        sums = logsumexp(logits(x), axis=1)
+        k = len(rays)
+        assert (sums[:k] > log_floor).all() and (sums[k:] < log_floor).all()
+
+        shifted = logits(x)
+        weights = np.exp(shifted - shifted.max(axis=1, keepdims=True))
+        weights /= weights.sum(axis=1, keepdims=True)
+        np.testing.assert_allclose(vf.velocity(t, x), weights @ moves, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("h", [0.2, 0.5, 1.0])
     def test_lipschitz_bound_dominates_dense_estimate(self, h):
