@@ -54,14 +54,7 @@ LOGISTIC_LIPSCHITZ = 0.25
 
 @dataclass(frozen=True)
 class NeuralTerm:
-    """One superposition term (A, W, theta) with A, W in R^{d x d}, theta in R^d.
-
-    Calls multiply by read-only C-contiguous copies of W^T and A^T, made once
-    here: as a matmul operand, a transposed view costs about twice as much
-    (``x @ W.T`` 4.9 us against 2.0 us at n = 1000, d = 2, on 2 vCPU). The
-    copies are not fields, so equality, the repr and ``to_dict`` see only
-    (A, W, theta).
-    """
+    """One superposition term (A, W, theta) with A, W in R^{d x d}, theta in R^d."""
 
     A: np.ndarray
     W: np.ndarray
@@ -83,17 +76,25 @@ class NeuralTerm:
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "W", W)
         object.__setattr__(self, "theta", theta)
-        for name, arr in (("_Wt", W.T.copy()), ("_At", A.T.copy())):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
 
     @property
     def dim(self) -> int:
         return self.theta.size
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        """A Sigma(W x + theta) at each row of x, as an (n, d) array."""
-        return logistic(np.atleast_2d(x) @ self._Wt + self.theta) @ self._At
+        """A Sigma(W x + theta) at each row of x, as an (n, d) array.
+
+        x W^T is written column-major, so adding theta runs one n-long loop
+        per coordinate instead of a d-long loop per row (at n = 1000, d = 2
+        a call took about 21 us with the row-major add and 17 us without, on
+        2 vCPU). BLAS reads W.T and A.T as views, without copies. The result
+        equals ``logistic(x @ W.T + theta) @ A.T`` bit for bit, one-row
+        batches included.
+        """
+        x = np.atleast_2d(x)
+        z = np.matmul(x, self.W.T, out=np.empty(x.shape, order="F"))
+        z += self.theta
+        return logistic(z) @ self.A.T
 
     def scaled(self, gain: float) -> "NeuralTerm":
         return NeuralTerm(self.A * gain, self.W, self.theta)

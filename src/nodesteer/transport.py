@@ -27,6 +27,13 @@ from its worst source and relaxation resumes. The assignment solve runs after
 or after more than `_CYCLES_PER_POINT` * n cancelled cycles, the cap that
 bounds the work on unrelated labels.
 
+Every distance is computed with numpy alone: the exact k-nearest sources,
+the dense check and the cost matrices all add the squared coordinate
+differences in coordinate order, as scipy's cdist does, so they equal its
+values bit for bit (see `_sq_norm`). Only the assignment fallback imports
+scipy, when it first runs, so a process whose solves never fall back loads
+no scipy module.
+
 `sup_w2` reports only the largest W2 over paired snapshots of two particle
 curves, so it solves only the snapshots that can hold it. Paired snapshots
 push the same labelled particles, so the identity coupling is feasible and its
@@ -43,8 +50,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
-from scipy.spatial.distance import cdist
 
 from .measures import ParticleEnsemble
 
@@ -52,14 +57,14 @@ BRUTEFORCE_MAX_N = 8
 
 # Certificate: sources per target in the sparse graph, the tolerance eps as a
 # share of the identity cost, Bellman-Ford rounds between cycle checks, dense
-# checks and cancelled cycles per point before giving up, and sources per
-# block of a dense check.
+# checks and cancelled cycles per point before giving up, and points per
+# block of a distance computation.
 _NEIGHBOURS = 32
 _EPS_REL = 1e-12
 _CYCLE_CHECK_EVERY = 4
 _DENSE_CHECKS = 4
 _CYCLES_PER_POINT = 1
-_BLOCK_SOURCES = 256
+_BLOCK_SOURCES = 64
 
 
 @dataclass(frozen=True)
@@ -107,11 +112,64 @@ def _check_pair(mu: ParticleEnsemble, nu: ParticleEnsemble) -> None:
 
 
 def _sq_norm(diff: np.ndarray) -> np.ndarray:
-    """Squared norms over the last axis, coordinates summed in order as cdist does."""
+    """Squared norms over the last axis, coordinates summed in order.
+
+    scipy's cdist(..., "sqeuclidean") adds the squared coordinate differences
+    to 0 in the same order, and each step is one correctly rounded operation,
+    so the sums agree bit for bit: 0 + s is s exactly, and a difference and
+    its negation have the same square.
+    """
     sq = diff[..., 0] * diff[..., 0]
     for k in range(1, diff.shape[-1]):
         sq = sq + diff[..., k] * diff[..., k]
     return sq
+
+
+def _row_blocks(a: np.ndarray, b: np.ndarray):
+    """Yield (start, block) with block[i, j] = |a_(start+i) - b_j|^2.
+
+    A block holds `_BLOCK_SOURCES` rows of a, the last one fewer. Its
+    entries are summed over coordinates in order, as `_sq_norm` sums, from a
+    coordinate-major (d, len(b)) copy of b, so its inner loops run along
+    rows. Every block is written into the same two buffers, so a caller is
+    done with one block before it asks for the next.
+    """
+    bt = np.ascontiguousarray(b.T)
+    out, scratch = np.empty((2, min(_BLOCK_SOURCES, len(a)), len(b)))
+    for start in range(0, len(a), _BLOCK_SOURCES):
+        rows = a[start : start + _BLOCK_SOURCES]
+        block, term = out[: len(rows)], scratch[: len(rows)]
+        np.subtract(rows[:, :1], bt[0], out=block)
+        block *= block
+        for k in range(1, bt.shape[0]):
+            np.subtract(rows[:, k : k + 1], bt[k], out=term)
+            term *= term
+            block += term
+        yield start, block
+
+
+def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The (len(a), len(b)) cost matrix C_ij = |a_i - b_j|^2, equal to cdist's "sqeuclidean"."""
+    cost = np.empty((len(a), len(b)))
+    for start, block in _row_blocks(a, b):
+        cost[start : start + len(block)] = block
+    return cost
+
+
+def _nearest(x: np.ndarray, k: int) -> np.ndarray:
+    """(n, k) indices of the k points of x nearest each x_i, x_i included, nearest first.
+
+    Exact: every distance is computed, a block of points at a time, the k
+    smallest of a row are picked by a partition and then ordered by
+    (distance, index).
+    """
+    nbr = np.empty((x.shape[0], k), dtype=np.intp)
+    for start, block in _row_blocks(x, x):
+        idx = np.argpartition(block, k - 1, axis=1)[:, :k]
+        idx.sort(axis=1)
+        order = np.take_along_axis(block, idx, axis=1).argsort(axis=1, kind="stable")
+        nbr[start : start + len(block)] = np.take_along_axis(idx, order, axis=1)
+    return nbr
 
 
 def _identity_costs(mu: ParticleEnsemble, nu: ParticleEnsemble) -> tuple:
@@ -145,23 +203,27 @@ def _predecessor_cycles(pred: np.ndarray) -> tuple:
 
 
 def _dense_slack(x: np.ndarray, y: np.ndarray, p: np.ndarray, floor: np.ndarray) -> tuple:
-    """Per target j, min over sources i of p_i + C_ij - floor_j and an i attaining it.
+    """(slack, source): per target j, min over i of p_i + C_ij - floor_j and an i attaining it.
 
-    C is built `_BLOCK_SOURCES` sources at a time, never as a whole n x n matrix,
-    and laid out as (target, source) so each minimum runs along a row.
+    source_j is the first i minimising p_i + C_ij where the slack is
+    negative, and j itself elsewhere. C is built `_BLOCK_SOURCES` sources at
+    a time, never as a whole n x n matrix, and laid out as (source, target),
+    so a block's minimum over its sources is an elementwise minimum of rows.
+    Rounded subtraction is monotone, so subtracting floor_j after the
+    minimum gives the same bits as subtracting it from every entry. Only the
+    violated targets are searched again for their source.
     """
     n = x.shape[0]
-    targets = np.arange(n)
-    slack = np.full(n, np.inf)
-    source = np.zeros(n, dtype=np.intp)
-    for start in range(0, n, _BLOCK_SOURCES):
-        block = cdist(y, x[start : start + _BLOCK_SOURCES], "sqeuclidean")
-        block += p[start : start + _BLOCK_SOURCES]
-        i = block.argmin(axis=1)
-        value = block[targets, i] - floor
-        lower = value < slack
-        slack[lower] = value[lower]
-        source[lower] = i[lower] + start
+    low = np.full(n, np.inf)
+    for start, block in _row_blocks(x, y):
+        block += p[start : start + len(block), None]
+        np.minimum(low, block.min(axis=0), out=low)
+    slack = low - floor
+    source = np.arange(n)
+    violated = np.flatnonzero(slack < 0)
+    for start, block in _row_blocks(y[violated], x):
+        block += p
+        source[violated[start : start + len(block)]] = block.argmin(axis=1)
     return slack, source
 
 
@@ -186,7 +248,7 @@ def _certified_permutation(
     """
     n = x.shape[0]
     k = min(_NEIGHBOURS, n)
-    nbr = cKDTree(x).query(x, k=k)[1].reshape(n, k)
+    nbr = _nearest(x, k)
     w = _sq_norm(x[nbr] - y[:, None, :]) - diag[:, None]
     rows = np.arange(n)
     perm = rows.copy()
@@ -224,13 +286,11 @@ def _certified_permutation(
             r = 0
         target = y[perm]
         slack, source = _dense_slack(x, target, p, p + diag - eps)
-        violated = slack < 0
-        if not violated.any():
+        if not (slack < 0).any():
             return perm
         # a target without a violation gains its own edge, of weight 0
-        extra = np.where(violated, source, rows)
-        nbr = np.column_stack([nbr, extra])
-        w = np.column_stack([w, _sq_norm(x[extra] - target) - diag])
+        nbr = np.column_stack([nbr, source])
+        w = np.column_stack([w, _sq_norm(x[source] - target) - diag])
     return None
 
 
@@ -254,7 +314,7 @@ def w2_exact(mu: ParticleEnsemble, nu: ParticleEnsemble) -> W2Result:
         from scipy.optimize import linear_sum_assignment
 
         # the row indices of a square problem come back as 0..n-1
-        perm = linear_sum_assignment(cdist(mu.points, nu.points, "sqeuclidean"))[1]
+        perm = linear_sum_assignment(_sq_dists(mu.points, nu.points))[1]
         method = "assignment"
     else:
         method = "identity" if np.array_equal(perm, np.arange(mu.n)) else "cancelled"
@@ -267,7 +327,7 @@ def w2_bruteforce(mu: ParticleEnsemble, nu: ParticleEnsemble) -> W2Result:
     _check_pair(mu, nu)
     if mu.n > BRUTEFORCE_MAX_N:
         raise ValueError(f"brute force capped at n = {BRUTEFORCE_MAX_N}, got n = {mu.n}")
-    cost_matrix = cdist(mu.points, nu.points, "sqeuclidean")
+    cost_matrix = _sq_dists(mu.points, nu.points)
     idx = np.arange(mu.n)
     best_cost = np.inf
     best_perm = None

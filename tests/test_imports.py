@@ -2,13 +2,14 @@
 
 The demos and ``perfbench/`` are not imported by the unit tests, so a deleted
 or renamed package name would otherwise only show when they are run. The
-sources are read, not executed. One more test checks what importing the CLI
-loads in a fresh interpreter.
+sources are read, not executed. Two more tests check, in fresh interpreters,
+that the CLI loads no scipy module and sweeps without one.
 """
 
 import ast
 import importlib
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -40,12 +41,44 @@ def test_imported_names_resolve(path):
         assert name is None or hasattr(mod, name), f"{path.name}: {module} has no {name}"
 
 
-def test_cli_import_skips_scipy_optimize():
-    """Only the assignment fallback needs scipy.optimize, so a cold start does not load it."""
-    probe = "import sys, nodesteer.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))"
+CONFIGS = [ROOT / "tests" / "configs" / name for name in ("rotation_sweep.json", "translation_endpoint.json")]
+
+
+def _fresh_python(probe, *args):
+    """Standard output of a new interpreter running probe with nodesteer on its path."""
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    cmd = [sys.executable, "-c", probe, *map(str, args)]
+    return subprocess.run(cmd, env=env, capture_output=True, text=True, check=True).stdout
+
+
+def test_cli_set_up_loads_no_scipy():
+    """Only the assignment fallback needs scipy, so a cold start and config parse load none of it."""
+    probe = (
+        "import sys, pathlib, nodesteer, nodesteer.cli\n"
+        "for p in sys.argv[1:]: nodesteer.ExperimentConfig.from_json(pathlib.Path(p).read_text())\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    assert _fresh_python(probe, *CONFIGS).strip() == "[]"
+
+
+@pytest.mark.parametrize("command, config", zip(["sweep", "endpoint"], CONFIGS), ids=["sweep", "endpoint"])
+def test_sweeps_run_without_scipy(command, config, tmp_path):
+    """With scipy unimportable, each test config sweeps to exit 0 with every row ok.
+
+    These configs' solves never reach the assignment fallback, so the scipy
+    cost is removed from a sweep, not moved into its first solve.
+    """
+    probe = (
+        "import sys, csv, json\n"
+        "sys.modules['scipy'] = None\n"
+        "from nodesteer import cli\n"
+        "command, config, out = sys.argv[1:]\n"
+        "code = cli.main([command, '--config', config, '--out', out])\n"
+        "print(json.dumps([code, [r['status'] for r in csv.DictReader(open(out + '/results.csv'))]]))"
+    )
+    code, statuses = json.loads(_fresh_python(probe, command, config, tmp_path).splitlines()[-1])
+    assert code == 0
+    assert statuses and set(statuses) == {"ok"}
 
 
 def test_traced_functions_resolve():

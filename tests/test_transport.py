@@ -3,13 +3,23 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
+from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 import nodesteer.transport as transport
 from nodesteer.flow import IntegratorConfig, MeasureTrajectory, integrate_flow
 from nodesteer.fields import benchmark_field
 from nodesteer.measures import ParticleEnsemble
-from nodesteer.transport import _identity_w2, _max_w2, sup_w2, w2_bruteforce, w2_exact
+from nodesteer.transport import (
+    _dense_slack,
+    _identity_w2,
+    _max_w2,
+    _nearest,
+    _sq_dists,
+    sup_w2,
+    w2_bruteforce,
+    w2_exact,
+)
 
 
 def _random_pair(rng, n, d, scale=1.0):
@@ -40,6 +50,56 @@ def _assignment_w2(mu, nu):
     cost_matrix = cdist(mu.points, nu.points, "sqeuclidean")
     rows, cols = linear_sum_assignment(cost_matrix)
     return float(np.sqrt(cost_matrix[rows, cols].sum() / mu.n)), cols[np.argsort(rows)]
+
+
+class TestDistanceKernels:
+    """The numpy distance kernels equal scipy's, bit for bit; sizes straddle the 64-point block."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 31, 32, 33, 500, 2000])
+    def test_nearest_matches_kd_tree(self, n, d):
+        x = np.random.default_rng(10 * n + d).normal(size=(n, d))
+        k = min(32, n)
+        assert np.array_equal(_nearest(x, k), cKDTree(x).query(x, k=k)[1].reshape(n, k))
+
+    def test_duplicated_points_give_the_kd_tree_sets_nearest_first(self):
+        base = np.random.default_rng(9).normal(size=(50, 2))
+        x = np.vstack([base, base[:12], base[:4]])
+        n, k = len(x), 32
+        ours, theirs = _nearest(x, k), cKDTree(x).query(x, k=k)[1]
+        dist = cdist(x, x, "sqeuclidean")
+        ours_d = np.take_along_axis(dist, ours, axis=1)
+        assert (np.diff(ours_d, axis=1) >= 0).all()
+        # tied distances are listed by index: each point lists its copies first
+        assert all(ours[i, 0] == i for i in range(50))
+        assert all(ours[i, :3].tolist() == [i, 50 + i, 62 + i] for i in range(4))
+        # where the k-th and (k+1)-th distances differ, the k nearest form one set
+        kth = np.sort(dist, axis=1)
+        clear = np.flatnonzero(kth[:, k - 1] < kth[:, k])
+        assert clear.size > n // 2
+        for i in clear:
+            assert set(ours[i]) == set(theirs[i])
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_sq_dists_matches_cdist(self, d):
+        rng = np.random.default_rng(d)
+        a, b = rng.normal(size=(130, d)), rng.normal(size=(70, d))
+        assert np.array_equal(_sq_dists(a, b), cdist(a, b, "sqeuclidean"))
+        assert np.array_equal(_sq_dists(b, a), cdist(b, a, "sqeuclidean"))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 200])
+    def test_dense_slack_matches_cdist(self, n, d):
+        rng = np.random.default_rng(100 * n + d)
+        x, y, p = rng.normal(size=(n, d)), rng.normal(size=(n, d)), rng.normal(size=n)
+        cost = cdist(y, x, "sqeuclidean") + p
+        floor = cost.min(axis=1) + 0.1 * rng.normal(size=n)
+        expected = cost.min(axis=1) - floor
+        violated = expected < 0
+        slack, source = _dense_slack(x, y, p, floor)
+        assert np.array_equal(slack, expected)
+        assert np.array_equal(source, np.where(violated, cost.argmin(axis=1), np.arange(n)))
+        assert n == 1 or 0 < violated.sum() < n
 
 
 class TestExactSolver:
