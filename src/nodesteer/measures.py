@@ -223,9 +223,10 @@ class ParticleEnsemble:
     # -- serialization ----------------------------------------------------
 
     def to_csv(self) -> str:
-        lines = [",".join(f"x{k}" for k in range(self.dim))]
-        lines += [",".join(map(repr, row)) for row in self.points.tolist()]
-        return "\n".join(lines) + "\n"
+        # one % operation formats every row; %r of a float is its repr
+        header = ",".join(f"x{k}" for k in range(self.dim))
+        row = ",".join(["%r"] * self.dim) + "\n"
+        return header + "\n" + (row * self.n) % tuple(self.points.ravel().tolist())
 
     @staticmethod
     def from_csv(text: str) -> "ParticleEnsemble":

@@ -20,7 +20,11 @@ map's tight constraints and improving exchanges are short hops. A cycle among
 the Bellman-Ford predecessors is a negative cycle (Klein's cycle cancelling):
 its sources pass their targets round the cycle, which lowers the cost, the
 rotated rows' weights are rebuilt and relaxation resumes from the same
-potentials. Once relaxation settles the potentials are checked against every
+potentials and the unrotated nodes' predecessors, with a cycle check every
+`_CYCLE_CHECK_EVERY` (2) rounds. By Brenier's theorem an optimal identity
+has potentials p_j = 2 phi(x_j) - |x_j|^2 for a convex phi, so relaxation
+starts from those of the least-squares affine map (a quadratic phi), not
+from 0. Once relaxation settles the potentials are checked against every
 (i, j), a block of sources at a time; each violated target gains an edge
 from its worst source and relaxation resumes. The assignment solve runs after
 `_DENSE_CHECKS` failed checks, after n rounds without a cycle or convergence,
@@ -61,7 +65,7 @@ BRUTEFORCE_MAX_N = 8
 # block of a distance computation.
 _NEIGHBOURS = 32
 _EPS_REL = 1e-12
-_CYCLE_CHECK_EVERY = 4
+_CYCLE_CHECK_EVERY = 2
 _DENSE_CHECKS = 4
 _CYCLES_PER_POINT = 1
 _BLOCK_SOURCES = 64
@@ -227,6 +231,22 @@ def _dense_slack(x: np.ndarray, y: np.ndarray, p: np.ndarray, floor: np.ndarray)
     return slack, source
 
 
+def _affine_potentials(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Start potentials p_j = 2 phi(x_j) - |x_j|^2, up to a constant, for an affine Brenier guess.
+
+    grad phi(x) = S (x - mean x) + mean y, where S is the symmetric part of
+    the least-squares fit of y - mean y on x - mean x. When y is such a map
+    of x these potentials already certify the identity. They are taken about
+    the means, so they stay on the scale of the cloud's spread however far
+    it sits from the origin.
+    """
+    x_mean, y_mean = x.mean(axis=0), y.mean(axis=0)
+    u = x - x_mean
+    fit = np.linalg.lstsq(u, y - y_mean, rcond=None)[0]
+    shape = (fit + fit.T) / 2 - np.eye(x.shape[1])
+    return ((u @ shape) * u).sum(axis=1) + 2 * u @ (y_mean - x_mean)
+
+
 def _certified_permutation(
     x: np.ndarray, y: np.ndarray, diag: np.ndarray, eps: float
 ) -> np.ndarray | None:
@@ -236,15 +256,20 @@ def _certified_permutation(
     edge i -> j of weight C_ia(j) - C_ja(j) hands that target to source i;
     the edges into j come from the sources nearest x_j. Jacobi Bellman-Ford
     from a virtual source relaxes these weights, taking only updates that
-    gain more than eps. Every cycle among the predecessors is then a cycle
-    of weight below -eps, so handing each target of every such cycle to its
-    predecessor at once lowers the cost; only the rotated rows' weights are
-    rebuilt, the predecessors restart at the roots, and the potentials stay
-    warm. Once relaxation settles the potentials are checked against every
-    (i, j); each violated target gains an edge from its worst source and
-    relaxation resumes, for at most `_DENSE_CHECKS` checks. None after n
-    rounds without a cycle or convergence, after more than
-    `_CYCLES_PER_POINT` * n cycles, or when the checks run out.
+    gain more than eps, from the potentials of an affine Brenier map
+    (`_affine_potentials`): relaxation only lowers them, so any finite start
+    is sound. Every cycle among the predecessors is a cycle of weight below
+    -eps, so every `_CYCLE_CHECK_EVERY` rounds each target of every such
+    cycle is handed to its predecessor at once, which lowers the cost. An
+    edge's weight depends on its source's point and its target node's
+    target alone, so only the rotated nodes' in-edges change: their rows of
+    weights are rebuilt and their predecessors restart at the root, while
+    every other predecessor and all the potentials are kept. Once relaxation
+    settles the potentials are checked against every (i, j); each violated
+    target gains an edge from its worst source and relaxation resumes, for
+    at most `_DENSE_CHECKS` checks. None after n rounds without a cycle or
+    convergence, after more than `_CYCLES_PER_POINT` * n cycles, or when the
+    checks run out.
     """
     n = x.shape[0]
     k = min(_NEIGHBOURS, n)
@@ -253,21 +278,29 @@ def _certified_permutation(
     rows = np.arange(n)
     perm = rows.copy()
     diag = diag.copy()
-    p = np.zeros(n)
+    p = _affine_potentials(x, y)
     pred = np.full(n, n)
     cycles = 0
     for _ in range(_DENSE_CHECKS):
+        # a round reads the candidates p_i + w through flat indices into
+        # these buffers; every index is in range, so take's "clip" mode only
+        # skips the bounds check and the copy of `out` that "raise" makes
+        cand = np.empty(nbr.shape)
+        base = rows * nbr.shape[1]
+        flat_nbr, flat_cand = nbr.ravel(), cand.ravel()
         r = 0
         while True:
             r += 1
-            cand = p[nbr] + w
-            arg = cand.argmin(axis=1)
-            best = cand[rows, arg]
+            p.take(nbr, out=cand, mode="clip")
+            cand += w
+            pos = cand.argmin(axis=1)
+            pos += base
+            best = flat_cand.take(pos)
             improved = best < p - eps
             if not improved.any():
                 break
-            p[improved] = best[improved]
-            pred[improved] = nbr[improved, arg[improved]]
+            np.copyto(p, best, where=improved)
+            np.copyto(pred, flat_nbr.take(pos), where=improved)
             if r % _CYCLE_CHECK_EVERY and r < n:
                 continue
             nodes, count = _predecessor_cycles(pred)
@@ -282,7 +315,7 @@ def _certified_permutation(
             target = y[perm[nodes]]
             diag[nodes] = _sq_norm(x[nodes] - target)
             w[nodes] = _sq_norm(x[nbr[nodes]] - target[:, None, :]) - diag[nodes, None]
-            pred.fill(n)
+            pred[nodes] = n
             r = 0
         target = y[perm]
         slack, source = _dense_slack(x, target, p, p + diag - eps)

@@ -101,6 +101,15 @@ class TestParticleEnsemble:
             "x0,x1\n-0.0,1e-300\n0.1,-25000000000.0\n0.3333333333333333,5e-324\n"
         )
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_csv_matches_the_per_row_form_bytewise(self, d):
+        special = [-0.0, 5e-324, 1e-300, 1e22, 3.0, -7.0, 0.0, 2.0**53]
+        pts = np.concatenate([special, np.random.default_rng(d).normal(size=40 * d) * 1e3])
+        pts = pts[: len(pts) // d * d].reshape(-1, d)
+        lines = [",".join(f"x{k}" for k in range(d))]
+        lines += [",".join(map(repr, row)) for row in pts.tolist()]
+        assert ParticleEnsemble(pts).to_csv() == "\n".join(lines) + "\n"
+
     def test_csv_bad_header(self):
         with pytest.raises(ValueError):
             ParticleEnsemble.from_csv("a,b\n1.0,2.0\n")

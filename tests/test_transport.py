@@ -28,11 +28,15 @@ def _random_pair(rng, n, d, scale=1.0):
     return mu, nu
 
 
-def _brenier_pair(rng, n, d):
-    """(x, y) with y = x + grad phi(x) for a convex phi, so the identity is optimal."""
+def _brenier_pair(rng, n, d, kink=1.0):
+    """(x, y) with y = x + grad phi(x) for a convex phi, so the identity is optimal.
+
+    kink scales the slopes of phi's log-sum-exp term, which sharpens its
+    bends: the larger it is, the further phi is from a quadratic.
+    """
     x = rng.normal(size=(n, d))
     a = rng.normal(size=(d, d))
-    slopes = rng.normal(size=(4, d))
+    slopes = kink * rng.normal(size=(4, d))
     logits = x @ slopes.T
     soft = np.exp(logits - logits.max(axis=1, keepdims=True))
     soft /= soft.sum(axis=1, keepdims=True)
@@ -228,6 +232,19 @@ class TestIdentityCertificate:
         assert result.distance == 0.0
         assert result.coupling.assignment[far].tolist() == far[::-1]
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_affine_brenier_pair_settles_at_once(self, d, monkeypatch):
+        # y = S x + c with S symmetric positive definite is the gradient of a
+        # convex quadratic, whose potentials are the affine start itself
+        rng = np.random.default_rng(20 + d)
+        x = rng.normal(size=(300, d))
+        a = rng.normal(size=(d, d))
+        y = x @ (a.T @ a + 0.5 * np.eye(d)) + rng.normal(size=d)
+        found = self._spy_cycles(monkeypatch)
+        result = w2_exact(ParticleEnsemble(x), ParticleEnsemble(y))
+        assert result.method == "identity"
+        assert len(found) <= 1
+
     def test_failed_dense_check_falls_back(self, monkeypatch):
         mu, nu = _brenier_pair(np.random.default_rng(4), 200, 2)
         assert w2_exact(mu, nu).method == "identity"
@@ -240,8 +257,9 @@ class TestIdentityCertificate:
         assert result.distance == _assignment_w2(mu, nu)[0]
 
     def test_violated_pairs_join_the_graph(self, monkeypatch):
-        # the 32-nearest-source graph misses tight edges of this pair
-        mu, nu = _brenier_pair(np.random.default_rng(3), 300, 3)
+        # the 32-nearest-source graph misses tight edges of this pair, whose
+        # sharp bends the affine start potentials do not capture
+        mu, nu = _brenier_pair(np.random.default_rng(3), 300, 3, kink=10.0)
         assert w2_exact(mu, nu).method == "identity"
         monkeypatch.setattr(transport, "_DENSE_CHECKS", 1)
         assert w2_exact(mu, nu).method == "assignment"
@@ -325,8 +343,10 @@ class TestCycleCancelling:
         assert result.distance == _assignment_w2(mu, nu)[0]
 
     def test_warm_potentials_settle_in_few_rounds(self, monkeypatch):
-        # warm potentials settle this pair in 111 cycle checks; restarting
-        # them from 0 after each cancel takes more than twice as many rounds
+        # affine start potentials, kept across cancels with the unrotated
+        # predecessors, settle this pair in 150 cycle checks of 2 rounds; a
+        # zero start that drops every predecessor at a cancel and checks
+        # every 4 rounds needs 444 rounds
         checks = []
         original = transport._predecessor_cycles
 
@@ -336,7 +356,7 @@ class TestCycleCancelling:
 
         monkeypatch.setattr(transport, "_predecessor_cycles", counted)
         assert w2_exact(*self._far_pair()).method == "cancelled"
-        assert len(checks) < 150
+        assert len(checks) * transport._CYCLE_CHECK_EVERY < 350
 
     def test_cycle_cap_falls_back_to_the_assignment_solve(self, monkeypatch):
         mu, nu = self._far_pair()
