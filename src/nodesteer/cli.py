@@ -63,7 +63,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output directory (overrides config out_dir)")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         if name in ("sweep", "endpoint"):
-            p.add_argument("--parallel", type=int, default=1, help="worker threads for sweep rows")
             p.add_argument("--resume", action="store_true", help="reuse completed rows from a prior run")
     return parser
 
@@ -134,7 +133,7 @@ def _cmd_compare(cfg: ExperimentConfig, out_dir: Path, args) -> int:
 def _cmd_sweep(cfg: ExperimentConfig, out_dir: Path, args) -> int:
     """``sweep`` and ``endpoint``; the runner rejects a config of the other kind."""
     run = run_trajectory_experiment if args.command == "sweep" else run_endpoint_experiment
-    table = run(cfg, out_dir, parallel=args.parallel, resume=args.resume)
+    table = run(cfg, out_dir, resume=args.resume)
     if not table.all_failed:
         emit_plot_data(table)
     failed = sum(r.status == "failed" for r in table.rows)

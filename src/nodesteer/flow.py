@@ -32,10 +32,10 @@ class DivergenceError(RuntimeError):
 class IntegratorConfig:
     """Fixed-step RK4 integrator settings; ``method`` accepts only "rk4".
 
-    snap_times is the requested output grid; it must start at 0 and increase.
-    The effective step never exceeds base_step and is further subdivided at
-    field breakpoints and snap times, so the default realizes
-    min(piece length, horizon/1000) on a unit horizon.
+    snap_times is the requested output grid: at least 2 times, starting at 0
+    and increasing. The effective step never exceeds base_step and is
+    further subdivided at field breakpoints and snap times, so the default
+    realizes min(piece length, horizon/1000) on a unit horizon.
     """
 
     method: str = "rk4"
@@ -48,9 +48,9 @@ class IntegratorConfig:
         if not self.base_step > 0:
             raise ValueError("base_step must be positive")
         snaps = np.asarray(self.snap_times, dtype=float)
-        if snaps.ndim != 1 or snaps.size < 1 or snaps[0] != 0.0:
-            raise ValueError("snap_times must be a 1-D grid starting at 0")
-        if snaps.size > 1 and not np.all(np.diff(snaps) > 0):
+        if snaps.ndim != 1 or snaps.size < 2 or snaps[0] != 0.0:
+            raise ValueError("snap_times must be a 1-D grid of at least 2 times starting at 0")
+        if not np.all(np.diff(snaps) > 0):
             raise ValueError("snap_times must be strictly increasing")
         snaps = snaps.copy()
         snaps.setflags(write=False)

@@ -8,13 +8,12 @@ the fit itself has no tuning keys. Every sweep point's knobs are checked at
 the parse, so a sweep whose schedule would exceed the piece cap is a config
 error. Running it produces ``results.csv`` with
 one row per sweep coordinate, a JSON manifest, and per-row
-schedule/trajectory artifacts under ``rows/<key>/``. Every row runs
-in this process on the one set of inputs and the one reference the sweep
-builds. Rows that share (n_avg, m_width) differ only in n_osc: they form a
-group that runs in n_osc order on one thread and shares one superposition
-fit, which the group's first computed row makes and counts in its
-``wall_s``. Groups run in sequence or on worker threads. Rows are
-isolated: a failing coordinate is recorded as a failed row and never aborts
+schedule/trajectory artifacts under ``rows/<key>/``. Rows run one after
+another in sweep-point order, in the caller's process, on the one set of
+inputs and the one reference the sweep builds. Rows that share (n_avg,
+m_width) differ only in n_osc: they form a group that shares one
+superposition fit, which the group's first computed row makes and counts in
+its ``wall_s``. Rows are isolated: a failing coordinate is recorded as a failed row and never aborts
 the sweep. Reruns with ``resume`` reuse a completed row only when it was
 computed under the same config (every key but ``out_dir`` and the three sweep
 lists) and its artifacts are present; every other row is recomputed.
@@ -29,10 +28,9 @@ import math
 import os
 import shutil
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import cache, partial
-from itertools import chain, groupby, product
+from itertools import groupby, product
 from pathlib import Path
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -443,9 +441,9 @@ def _execute_row(
     """Compute one sweep row into a fresh ``rows/<key>/``; never raises.
 
     ``inputs`` and ``reference`` are the sweep's own, shared by every row,
-    and ``fit`` is the row's group's; the row writes only its own directory,
-    so groups may run on concurrent threads. The directory is cleared first,
-    so a rerun leaves none of an earlier run's artifacts next to this row's.
+    and ``fit`` is the row's group's; the row writes only its own directory.
+    The directory is cleared first, so a rerun leaves none of an earlier
+    run's artifacts next to this row's.
     ``row.json`` records the config's ``fingerprint`` for ``resume``.
     """
     row_dir = out_dir / "rows" / row_key(coords)
@@ -526,22 +524,20 @@ def _write_manifest(cfg: ExperimentConfig, out_dir: Path, rows: Sequence[ResultR
 def _run_experiment(cfg: ExperimentConfig, kind: str, out_dir, parallel: int, resume: bool) -> ResultTable:
     """Run every row of a ``kind`` config on the sweep's shared inputs and reference.
 
-    The sorted sweep points split into (n_avg, m_width) groups. A group runs
-    its rows in n_osc order on one thread and shares one fit, made by its
-    first computed row and counted in that row's ``wall_s``; a fit that
-    raises is not kept, so each row of its group fails the same way, and a
-    group whose rows all resume never fits. ``parallel > 1`` runs groups on
-    up to that many worker threads; otherwise groups run in order on the
-    calling thread. Either way the rows come back in sweep-point order.
-    With ``resume``, a row computed under the same config (see
-    :func:`_config_fingerprint`) whose artifacts remain is kept as is. A
-    config of another kind, ``parallel`` below 1, or inputs that fail to
-    build fail before anything is written.
+    Rows run one after another in sweep-point order. The sorted sweep
+    points split into (n_avg, m_width) groups; a group shares one fit, made
+    by its first computed row and counted in that row's ``wall_s``. A fit
+    that raises is not kept, so each row of its group fails the same way,
+    and a group whose rows all resume never fits. With ``resume``, a row
+    computed under the same config (see :func:`_config_fingerprint`) whose
+    artifacts remain is kept as is. A config of another kind, ``parallel``
+    other than 1, or inputs that fail to build fail before anything is
+    written.
     """
     if cfg.kind != kind:
         raise ConfigError(f"{kind} sweep got a {cfg.kind!r} config")
-    if parallel < 1:
-        raise ConfigError(f"parallel must be at least 1, got {parallel}")
+    if parallel != 1:
+        raise ConfigError(f"parallel must be 1, got {parallel}")
     inputs = cfg.build_inputs()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -550,21 +546,14 @@ def _run_experiment(cfg: ExperimentConfig, kind: str, out_dir, parallel: int, re
 
     fingerprint = _config_fingerprint(cfg)
     mu0, _, vf = inputs
-
-    def run_group(points) -> list:
+    rows = []
+    for _, group in groupby(cfg.sweep_points(), key=lambda coords: coords[:2]):
+        points = list(group)
         fit = cache(partial(fit_windows, vf, mu0, cfg.synthesis_params(points[0])))
-        rows = []
         for coords in points:
             prior = _load_completed_row(out_dir, coords, fingerprint) if resume else None
             rows.append(prior or _execute_row(cfg, out_dir, coords, inputs, reference, fit, fingerprint))
-        return rows
-
-    groups = [list(points) for _, points in groupby(cfg.sweep_points(), key=lambda coords: coords[:2])]
-    if parallel > 1:
-        with ThreadPoolExecutor(max_workers=parallel) as pool:
-            rows = tuple(chain.from_iterable(pool.map(run_group, groups)))
-    else:
-        rows = tuple(chain.from_iterable(map(run_group, groups)))
+    rows = tuple(rows)
     _write_results_csv(out_dir, rows)
     _write_manifest(cfg, out_dir, rows)
     return ResultTable(config=cfg, rows=rows, out_dir=out_dir)
@@ -575,7 +564,8 @@ def run_trajectory_experiment(cfg: ExperimentConfig, out_dir, parallel: int = 1,
 
     For each sweep coordinate: synthesize a schedule, integrate it from the
     shared initial ensemble on the shared snapshot grid, and record the sup-W2
-    distance to the reference trajectory plus the final-time W2.
+    distance to the reference trajectory plus the final-time W2. ``parallel``
+    accepts only 1; any other value is a :class:`ConfigError`.
     """
     return _run_experiment(cfg, "trajectory", out_dir, parallel, resume)
 

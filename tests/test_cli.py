@@ -5,7 +5,7 @@ import pytest
 
 from nodesteer.cli import EXIT_ALL_FAILED, EXIT_CONFIG, EXIT_OK, EXIT_PARTIAL, main
 from nodesteer.flow import MeasureTrajectory
-from nodesteer.harness import ConfigError, ExperimentConfig
+from nodesteer.harness import ConfigError, ExperimentConfig, run_endpoint_experiment, run_trajectory_experiment
 from nodesteer.synthesis import ControlSchedule
 
 CONFIGS = Path(__file__).parent / "configs"
@@ -254,6 +254,7 @@ class TestConfigErrors:
             pytest.param("integrator", {"base_step": 0}, id="integrator1"),
             pytest.param("integrator", {"base_step": "fast"}, id="integrator2"),
             pytest.param("integrator", {"snap_times": [0.5, 1.0]}, id="integrator3"),
+            pytest.param("integrator", {"snap_times": [0.0]}, id="snap-times-one-entry"),
             pytest.param("synthesis", {"region_margin": 0.5}, id="synthesis0"),
             pytest.param("synthesis", {"fit_tolerance": -1}, id="synthesis1"),
             pytest.param("synthesis", {"seed": "x"}, id="synthesis2"),
@@ -439,22 +440,36 @@ class TestConfigErrors:
         assert "seed must be a nonnegative integer" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command, payload", [("sweep", _trajectory_payload), ("endpoint", _endpoint_payload)])
-    @pytest.mark.parametrize("parallel", ["0", "-1"])
-    def test_parallel_below_one_rejected_before_any_output(self, command, payload, parallel, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "command, payload", [("sweep", _trajectory_payload), ("endpoint", _endpoint_payload)], ids=["sweep", "endpoint"]
+    )
+    def test_parallel_flag_rejected_before_any_output(self, command, payload, tmp_path, capsys):
         cfg = _write(tmp_path, "cfg.json", payload())
         out = tmp_path / "o"
-        assert main([command, "--config", cfg, "--out", str(out), "--parallel", parallel]) == EXIT_CONFIG
-        assert f"parallel must be at least 1, got {parallel}" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", cfg, "--out", str(out), "--parallel", "2"])
+        assert exc.value.code == EXIT_CONFIG
+        assert "unrecognized arguments: --parallel 2" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "run, payload",
+        [(run_trajectory_experiment, _trajectory_payload), (run_endpoint_experiment, _endpoint_payload)],
+        ids=["trajectory", "endpoint"],
+    )
+    @pytest.mark.parametrize("parallel", [0, 2])
+    def test_sweep_functions_take_parallel_1_only(self, run, payload, parallel, tmp_path):
+        out = tmp_path / "o"
+        with pytest.raises(ConfigError, match=f"parallel must be 1, got {parallel}"):
+            run(ExperimentConfig.from_dict(payload()), out, parallel=parallel)
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["synthesize", "simulate", "compare"])
-    @pytest.mark.parametrize("flag", [["--parallel", "2"], ["--resume"]])
-    def test_sweep_flags_rejected_by_single_point_commands(self, command, flag, tmp_path):
+    def test_sweep_flags_rejected_by_single_point_commands(self, command, tmp_path):
         cfg = _write(tmp_path, "cfg.json", _trajectory_payload())
         out = tmp_path / "o"
         with pytest.raises(SystemExit) as exc:
-            main([command, "--config", cfg, "--out", str(out), *flag])
+            main([command, "--config", cfg, "--out", str(out), "--resume"])
         assert exc.value.code == EXIT_CONFIG
         assert not out.exists()
 

@@ -43,6 +43,10 @@ class TestIntegratorConfig:
         with pytest.raises(ValueError):
             IntegratorConfig(snap_times=np.array([0.1, 0.5]))
 
+    def test_snaps_need_two_times(self):
+        with pytest.raises(ValueError, match="at least 2 times"):
+            IntegratorConfig(snap_times=np.array([0.0]))
+
     def test_snaps_must_increase(self):
         with pytest.raises(ValueError):
             IntegratorConfig(snap_times=np.array([0.0, 0.5, 0.5]))

@@ -357,18 +357,6 @@ class TestTrajectoryExperiment:
         b = _strip_wall((tmp_path / "b" / "results.csv").read_text())
         assert a == b
 
-    def test_parallel_matches_sequential(self, tmp_path):
-        endpoint = _endpoint_raw()
-        endpoint["synthesis"]["n_osc"] = [1, 2]
-        for raw, run in [(_trajectory_raw(), run_trajectory_experiment), (endpoint, run_endpoint_experiment)]:
-            cfg = ExperimentConfig.from_dict(raw)
-            out = tmp_path / cfg.kind
-            run(cfg, out / "seq", parallel=1)
-            run(cfg, out / "par", parallel=2)
-            seq = _strip_wall((out / "seq" / "results.csv").read_text())
-            par = _strip_wall((out / "par" / "results.csv").read_text())
-            assert seq == par
-
     def test_resume_reuses_completed_rows(self, tmp_path):
         cfg = ExperimentConfig.from_dict(_trajectory_raw())
         first = run_trajectory_experiment(cfg, tmp_path)
@@ -623,8 +611,7 @@ class TestEndpointExperiment:
         assert [r.status for r in table.rows] == ["ok"] * 3
         assert calls == {"sample_measure": 1, "displacement_target_field": 1, "load": 0}
 
-    @pytest.mark.parametrize("parallel", [1, 2])
-    def test_rows_run_in_process_on_the_sweep_inputs(self, tmp_path, monkeypatch, parallel):
+    def test_rows_run_in_process_on_the_sweep_inputs(self, tmp_path, monkeypatch):
         built, ran = [], []
         build_inputs, compute_row = ExperimentConfig.build_inputs, harness.compute_row
 
@@ -640,18 +627,14 @@ class TestEndpointExperiment:
         monkeypatch.setattr(harness, "compute_row", recording_compute_row)
         raw = _endpoint_raw()
         raw["synthesis"].update(m_width=[8, 16], n_osc=[1, 2, 4])
-        table = run_endpoint_experiment(ExperimentConfig.from_dict(raw), tmp_path, parallel=parallel)
+        table = run_endpoint_experiment(ExperimentConfig.from_dict(raw), tmp_path)
         assert [r.status for r in table.rows] == ["ok"] * 6
         assert len(built) == 1
-        assert sorted(coords for coords, *_ in ran) == [r.coords for r in table.rows]
+        # every row runs on the calling thread, in sweep-point order
+        expected = [(1, m, n_osc) for m in (8, 16) for n_osc in (1, 2, 4)]
+        assert [coords for coords, *_ in ran] == [r.coords for r in table.rows] == expected
         assert all(pid == os.getpid() and inputs is built[0] for _, pid, _, inputs in ran)
-        if parallel == 1:
-            assert {thread for _, _, thread, _ in ran} == {threading.get_ident()}
-        # each (n_avg, m) group runs its rows on one thread, in n_osc order
-        for m in (8, 16):
-            group = [(coords, thread) for coords, _, thread, _ in ran if coords[:2] == (1, m)]
-            assert [coords for coords, _ in group] == [(1, m, 1), (1, m, 2), (1, m, 4)]
-            assert len({thread for _, thread in group}) == 1
+        assert {thread for _, _, thread, _ in ran} == {threading.get_ident()}
 
 
 def _count_fits(monkeypatch):
@@ -667,19 +650,18 @@ def _count_fits(monkeypatch):
 
 
 class TestSharedFits:
-    @pytest.mark.parametrize("parallel", [1, 2])
-    def test_each_n_avg_m_pair_is_fitted_once(self, tmp_path, monkeypatch, parallel):
+    def test_each_n_avg_m_pair_is_fitted_once(self, tmp_path, monkeypatch):
         widths = _count_fits(monkeypatch)
         raw = _endpoint_raw()
         raw["synthesis"].update(m_width=[8, 16], n_osc=[1, 2, 4])
-        table = run_endpoint_experiment(ExperimentConfig.from_dict(raw), tmp_path, parallel=parallel)
+        table = run_endpoint_experiment(ExperimentConfig.from_dict(raw), tmp_path)
         assert [r.status for r in table.rows] == ["ok"] * 6
         assert sorted(widths) == [8, 16]
 
     def test_rows_sharing_a_fit_match_one_row_sweeps(self, tmp_path):
         raw = _endpoint_raw()
         raw["synthesis"]["n_osc"] = [1, 2, 4]
-        run_endpoint_experiment(ExperimentConfig.from_dict(raw), tmp_path / "all", parallel=2)
+        run_endpoint_experiment(ExperimentConfig.from_dict(raw), tmp_path / "all")
         for n_osc in (1, 2, 4):
             raw["synthesis"]["n_osc"] = n_osc
             one = tmp_path / f"nosc{n_osc}"
@@ -707,12 +689,11 @@ class TestSharedFits:
         assert not out.exists()
         assert widths == []
 
-    @pytest.mark.parametrize("parallel", [1, 2])
-    def test_a_failing_fit_fails_every_row_of_its_key(self, tmp_path, monkeypatch, parallel):
+    def test_a_failing_fit_fails_every_row_of_its_key(self, tmp_path, monkeypatch):
         widths = _count_fits(monkeypatch)
         raw = _trajectory_raw()
         raw["synthesis"].update(m_width=[2, 1024], n_osc=[1, 2])
-        table = run_trajectory_experiment(ExperimentConfig.from_dict(raw), tmp_path, parallel=parallel)
+        table = run_trajectory_experiment(ExperimentConfig.from_dict(raw), tmp_path)
         by_coords = {r.coords: r for r in table.rows}
         for n_osc in (1, 2):
             assert by_coords[(1, 2, n_osc)].status == "ok"

@@ -3,7 +3,7 @@
 The demos and ``perfbench/`` are not imported by the unit tests, so a deleted
 or renamed package name would otherwise only show when they are run. The
 sources are read, not executed. Two more tests check, in fresh interpreters,
-that the CLI loads no scipy module and sweeps without one.
+that the CLI loads no scipy or concurrent module and sweeps without scipy.
 """
 
 import ast
@@ -52,11 +52,15 @@ def _fresh_python(probe, *args):
 
 
 def test_cli_set_up_loads_no_scipy():
-    """Only the assignment fallback needs scipy, so a cold start and config parse load none of it."""
+    """A cold start and config parse load no scipy module and no thread pool.
+
+    Only the assignment fallback needs scipy, and sweep rows run on the
+    calling thread, so ``concurrent`` has no user either.
+    """
     probe = (
         "import sys, pathlib, nodesteer, nodesteer.cli\n"
         "for p in sys.argv[1:]: nodesteer.ExperimentConfig.from_json(pathlib.Path(p).read_text())\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'concurrent')))"
     )
     assert _fresh_python(probe, *CONFIGS).strip() == "[]"
 
