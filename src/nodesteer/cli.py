@@ -1,8 +1,10 @@
-"""Command-line entry points: synthesize, simulate, compare, sweep, endpoint.
+"""Command-line entry points: synthesize, simulate, sweep, endpoint.
 
 Every subcommand consumes a JSON experiment config (see
 :class:`nodesteer.harness.ExperimentConfig`) and writes its artifacts under
-``--out``. Scalar config fields can be overridden by flags. Exit codes:
+``--out``. A sweep of a config whose synthesis knobs are scalars is one row,
+which records that point's errors. Scalar config fields can be overridden
+by flags. Exit codes:
 0 success, 1 config or usage error, 2 all rows failed (or the single
 requested operation failed), 3 partial failure.
 """
@@ -20,7 +22,6 @@ from .harness import (
     ExperimentConfig,
     _atomic_write,
     _write_json,
-    compute_row,
     emit_plot_data,
     run_endpoint_experiment,
     run_trajectory_experiment,
@@ -54,9 +55,8 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, desc in [
         ("synthesize", "build a control schedule for the config's target"),
         ("simulate", "integrate the config's field or schedule and save the trajectory"),
-        ("compare", "synthesize at one sweep point and report its errors as a sweep row does"),
-        ("sweep", "run the full trajectory experiment sweep"),
-        ("endpoint", "run the measure-steering experiment sweep"),
+        ("sweep", "run the trajectory experiment sweep, one row per sweep point"),
+        ("endpoint", "run the measure-steering experiment sweep, one row per sweep point"),
     ]:
         p = sub.add_parser(name, help=desc)
         p.add_argument("--config", required=True, help="path to a JSON experiment config")
@@ -118,18 +118,6 @@ def _cmd_simulate(cfg: ExperimentConfig, out_dir: Path, args) -> int:
     return EXIT_OK
 
 
-def _cmd_compare(cfg: ExperimentConfig, out_dir: Path, args) -> int:
-    coords = _single_point(cfg)
-    inputs = cfg.build_inputs()
-    mu0, _, vf = inputs
-    reference = integrate_flow(vf, mu0, cfg.integrator(vf.horizon))
-    _, report, _, sup_err, final_err = compute_row(cfg, coords, inputs, reference)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_json(out_dir / "compare.json", {"sup_w2": sup_err, "final_w2": final_err, "report": report})
-    print(f"sup_w2 = {sup_err:.6g}, final_w2 = {final_err:.6g} -> {out_dir / 'compare.json'}")
-    return EXIT_OK
-
-
 def _cmd_sweep(cfg: ExperimentConfig, out_dir: Path, args) -> int:
     """``sweep`` and ``endpoint``; the runner rejects a config of the other kind."""
     run = run_trajectory_experiment if args.command == "sweep" else run_endpoint_experiment
@@ -148,7 +136,6 @@ def _cmd_sweep(cfg: ExperimentConfig, out_dir: Path, args) -> int:
 _COMMANDS = {
     "synthesize": _cmd_synthesize,
     "simulate": _cmd_simulate,
-    "compare": _cmd_compare,
     "sweep": _cmd_sweep,
     "endpoint": _cmd_sweep,
 }

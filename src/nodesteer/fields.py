@@ -30,7 +30,7 @@ from typing import Callable, Mapping, Optional, Sequence
 import numpy as np
 
 from .measures import Region, _number, _numbers, _Registry
-from .transport import _sq_norm
+from .transport import _sq_dists
 
 
 class BoundDeclarationError(ValueError):
@@ -240,11 +240,6 @@ class BoundEstimate:
     K_hat: float
 
 
-def _pairwise_distances(pts: np.ndarray) -> np.ndarray:
-    """The n x n Euclidean distance matrix of the rows of pts."""
-    return np.sqrt(_sq_norm(pts[:, None, :] - pts[None, :, :]))
-
-
 def estimate_bounds(
     vf,
     region: Region,
@@ -262,7 +257,7 @@ def estimate_bounds(
         raise ValueError("estimate_bounds needs at least 2 samples per axis")
     rng = np.random.default_rng(seed)
     pts = region.sample(rng, x_samples)
-    dists = _pairwise_distances(pts)
+    dists = np.sqrt(_sq_dists(pts, pts))
     np.fill_diagonal(dists, np.inf)
     dists[dists == 0.0] = np.inf
     c_hat = 0.0
@@ -270,7 +265,7 @@ def estimate_bounds(
     for t in np.linspace(0.0, vf.horizon, t_samples):
         vel = vf.velocity(float(t), pts)
         c_hat = max(c_hat, float(np.max(np.linalg.norm(vel, axis=1))))
-        vel_diff = _pairwise_distances(vel)
+        vel_diff = np.sqrt(_sq_dists(vel, vel))
         k_hat = max(k_hat, float(np.max(vel_diff / dists)))
     return BoundEstimate(c_hat, k_hat)
 
@@ -293,7 +288,6 @@ class VectorFieldSpec:
         region: Region,
         name: Optional[str] = None,
         params: Optional[dict] = None,
-        analytic_flow: Optional[Callable[[float, np.ndarray], np.ndarray]] = None,
         static_superposition: Optional[NeuralField] = None,
     ):
         if horizon <= 0:
@@ -308,7 +302,6 @@ class VectorFieldSpec:
         self.region = region
         self.name = name
         self.params = dict(params) if params else {}
-        self.analytic_flow = analytic_flow
         # set when the evaluator is a time-independent superposition, so
         # downstream averaging/fitting can exploit admissibility exactly
         self.static_superposition = static_superposition
@@ -347,18 +340,12 @@ def _rotation_spec(params: Mapping) -> dict:
     def evaluator(t, x):
         return omega * np.stack([-x[:, 1], x[:, 0]], axis=1)
 
-    def flow(t, x):
-        c, s = np.cos(omega * t), np.sin(omega * t)
-        rot = np.array([[c, -s], [s, c]])
-        return x @ rot.T
-
     return dict(
         evaluator=evaluator,
         bound_C=abs(omega) * region.radius,
         lipschitz_K=abs(omega),
         region=region,
         params={"omega": omega, "radius": region.radius},
-        analytic_flow=flow,
     )
 
 
@@ -370,16 +357,12 @@ def _translation_spec(params: Mapping) -> dict:
     def evaluator(t, x):
         return np.broadcast_to(v, x.shape).copy()
 
-    def flow(t, x):
-        return x + t * v
-
     return dict(
         evaluator=evaluator,
         bound_C=float(np.linalg.norm(v)),
         lipschitz_K=0.0,
         region=region,
         params={"velocity": v.tolist(), "radius": region.radius},
-        analytic_flow=flow,
     )
 
 
@@ -394,16 +377,12 @@ def _contraction_spec(params: Mapping) -> dict:
     def evaluator(t, x):
         return -rate * (x - center)
 
-    def flow(t, x):
-        return center + (x - center) * np.exp(-rate * t)
-
     return dict(
         evaluator=evaluator,
         bound_C=rate * region.radius,
         lipschitz_K=rate,
         region=region,
         params={"rate": rate, "center": center.tolist(), "radius": region.radius},
-        analytic_flow=flow,
     )
 
 
@@ -417,18 +396,12 @@ def _shear_spec(params: Mapping) -> dict:
         out[:, 0] = rate * x[:, 1]
         return out
 
-    def flow(t, x):
-        out = np.array(x, dtype=float)
-        out[:, 0] = out[:, 0] + t * rate * x[:, 1]
-        return out
-
     return dict(
         evaluator=evaluator,
         bound_C=abs(rate) * region.radius,
         lipschitz_K=abs(rate),
         region=region,
         params={"rate": rate, "radius": region.radius},
-        analytic_flow=flow,
     )
 
 

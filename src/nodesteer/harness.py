@@ -383,23 +383,23 @@ def compute_row(
     coords,
     inputs: tuple,
     reference: MeasureTrajectory,
-    fit: Optional[Callable[[], WindowFits]] = None,
+    fit: Callable[[], WindowFits],
 ) -> tuple:
     """Synthesize at one sweep coordinate and measure the schedule's flow.
 
     ``inputs`` is :meth:`ExperimentConfig.build_inputs`'s (mu0, muf, field)
     and ``reference`` the field's flow from mu0 on the config's snapshot grid.
     ``fit`` returns the fit stage's result for the row's (n_avg, m_width)
-    (a sweep group's shared fit); by default the row fits on its own. Returns
-    (synthesis result, report, synthesized trajectory, sup_w2, final_w2),
-    where the report is the synthesis report's JSON dict plus the
-    synthesized flow's ``support_growth`` check. ``final_w2`` is measured
-    against muf for endpoint configs and against the reference's final
-    snapshot for trajectory configs.
+    (a sweep group's shared fit). Returns (synthesis result, report,
+    synthesized trajectory, sup_w2, final_w2), where the report is the
+    synthesis report's JSON dict plus the synthesized flow's
+    ``support_growth`` check. ``final_w2`` is measured against muf for
+    endpoint configs and against the reference's final snapshot for
+    trajectory configs.
     """
     mu0, muf, vf = inputs
     params = cfg.synthesis_params(coords)
-    fits = fit() if fit is not None else fit_windows(vf, mu0, params)
+    fits = fit()
     result = schedule_windows(fits, params)
     synthesized = integrate_flow(result.schedule, mu0, cfg.integrator(vf.horizon))
     report = result.report.to_json_dict()

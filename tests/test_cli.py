@@ -109,35 +109,6 @@ class TestSimulate:
         assert not out.exists()
 
 
-class TestCompare:
-    def test_reports_errors(self, tmp_path, capsys):
-        cfg = _write(tmp_path, "cfg.json", _trajectory_payload())
-        out = tmp_path / "cmp"
-        assert main(["compare", "--config", cfg, "--out", str(out)]) == EXIT_OK
-        blob = json.loads((out / "compare.json").read_text())
-        assert blob["sup_w2"] == 0.0
-        assert blob["final_w2"] == 0.0
-        assert blob["report"]["tolerance_met"] is True
-        assert "sup_w2" in capsys.readouterr().out
-
-    def test_matches_sweep_row_on_sampled_target(self, tmp_path):
-        payload = _endpoint_payload(seed=0, n_particles=200)
-        payload["target_measure"] = {
-            "kind": "uniform-ball",
-            "params": {"center": [1.5, 0.0], "radius": 0.5},
-        }
-        payload["synthesis"].update(m_width=64, n_osc=4)
-        cfg = _write(tmp_path, "cfg.json", payload)
-        assert main(["compare", "--config", cfg, "--out", str(tmp_path / "cmp")]) == EXIT_OK
-        assert main(["endpoint", "--config", cfg, "--out", str(tmp_path / "sweep")]) == EXIT_OK
-        compared = json.loads((tmp_path / "cmp" / "compare.json").read_text())
-        row = json.loads((tmp_path / "sweep" / "rows" / "navg1_m64_nosc4" / "row.json").read_text())
-        assert (compared["sup_w2"], compared["final_w2"]) == (row["sup_w2"], row["final_w2"])
-        report = json.loads((tmp_path / "sweep" / "rows" / "navg1_m64_nosc4" / "report.json").read_text())
-        assert compared["report"] == report
-        assert "support_growth" in compared["report"]
-
-
 class TestSweep:
     def test_clean_sweep_exit_zero(self, tmp_path, capsys):
         payload = _trajectory_payload()
@@ -464,7 +435,16 @@ class TestConfigErrors:
             run(ExperimentConfig.from_dict(payload()), out, parallel=parallel)
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["synthesize", "simulate", "compare"])
+    def test_compare_is_not_a_subcommand(self, tmp_path, capsys):
+        cfg = _write(tmp_path, "cfg.json", _trajectory_payload())
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main(["compare", "--config", cfg, "--out", str(out)])
+        assert exc.value.code == EXIT_CONFIG
+        assert "invalid choice: 'compare'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["synthesize", "simulate"])
     def test_sweep_flags_rejected_by_single_point_commands(self, command, tmp_path):
         cfg = _write(tmp_path, "cfg.json", _trajectory_payload())
         out = tmp_path / "o"
@@ -473,7 +453,7 @@ class TestConfigErrors:
         assert exc.value.code == EXIT_CONFIG
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["synthesize", "simulate", "compare", "sweep", "endpoint"])
+    @pytest.mark.parametrize("command", ["synthesize", "simulate", "sweep", "endpoint"])
     def test_every_subcommand_validates_config(self, command, tmp_path):
         cfg = _write(tmp_path, "cfg.json", {"kind": "trajectory"})
         assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
