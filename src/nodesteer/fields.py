@@ -218,7 +218,16 @@ class ControlSchedule:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
+        """``json.dumps(self.to_json_dict())``, byte for byte.
+
+        A schedule repeats a few distinct terms many times, so each distinct
+        piece object is encoded once and the encoded strings are joined.
+        """
+        distinct = {id(p): p for p in self.pieces}
+        encoded = {key: json.dumps(p.to_dict()) for key, p in distinct.items()}
+        pieces = ", ".join(encoded[id(p)] for p in self.pieces)
+        head = json.dumps({"activation": "logistic", "breakpoints": self.breakpoints.tolist()})
+        return f'{head[:-1]}, "pieces": [{pieces}]}}'
 
     @staticmethod
     def from_json_dict(d: Mapping) -> "ControlSchedule":

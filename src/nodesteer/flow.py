@@ -6,6 +6,10 @@ modulo ODE-solver error. Steps never straddle a breakpoint of a
 :class:`~nodesteer.fields.ControlSchedule`: the step grid is subdivided at
 every breakpoint and at every requested snapshot time, and within a window
 the active piece is frozen.
+
+A piece's right-hand side A Sigma(W x + theta) depends on x only through
+z = W x + theta, so schedule pieces step in z: the same RK4 on the same grid
+as a general field's, with different last-digit rounding.
 """
 
 from __future__ import annotations
@@ -154,6 +158,73 @@ def _rk4_step(f, t: float, x: np.ndarray, h: float) -> np.ndarray:
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def _term_step_tables(term) -> tuple:
+    """(C, D) such that T(h) = C + h D is one RK4 step of x' = A Sigma(W x + theta).
+
+    On a single term RK4 reads x only through z = W x + theta:
+
+        z_1 = W x + theta,
+        z_2 = z_1 + (h/2) W A Sigma(z_1),
+        z_3 = z_1 + (h/2) W A Sigma(z_2),
+        z_4 = z_1 + h W A Sigma(z_3),
+        x' = x + (h/6) A (Sigma(z_1) + 2 Sigma(z_2) + 2 Sigma(z_3) + Sigma(z_4)).
+
+    With Sigma(z) = (1 + tanh(z/2)) / 2 and tau_k = tanh(z_k / 2), each line
+    is linear in g = [1; x; tau_1; ...; tau_4]: row block k - 1 of T(h) maps g
+    to z_k / 2, and the last row block maps it to x'.
+    """
+    A, W, theta = term.A, term.W, term.theta
+    d = theta.size
+    WA = W @ A
+    C = np.zeros((5 * d, 1 + 5 * d))
+    D = np.zeros_like(C)
+    C[: 4 * d, 0] = np.tile(theta / 2.0, 4)
+    C[: 4 * d, 1 : 1 + d] = np.tile(W / 2.0, (4, 1))
+    for k, c in ((1, 0.5), (2, 0.5), (3, 1.0)):
+        rows = slice(k * d, (k + 1) * d)
+        D[rows, 0] = (c / 4.0) * WA.sum(axis=1)
+        D[rows, 1 + k * d : 1 + (k + 1) * d] = (c / 4.0) * WA
+    C[4 * d :, 1 : 1 + d] = np.eye(d)
+    D[4 * d :, 0] = A.sum(axis=1) / 2.0
+    D[4 * d :, 1 + d :] = np.hstack([A / 12.0, A / 6.0, A / 6.0, A / 12.0])
+    return C, D
+
+
+class _TermFlow:
+    """Particles pushed by fused RK4 steps of single terms.
+
+    The state is rows 1..d of a (1 + 5d, n) array g = [1; x; tau_1; ...;
+    tau_4], so every stage is one matmul and one tanh on contiguous rows, and
+    a step returns the state as an (n, d) Fortran-order view. The step's last
+    matmul reads the whole of g, so it writes the new state into a second
+    such array and the two swap. Each distinct term's tables are built on
+    its first step.
+    """
+
+    def __init__(self, x0: np.ndarray):
+        n, d = x0.shape
+        self._d = d
+        self._g, self._spare = np.empty((1 + 5 * d, n)), np.empty((1 + 5 * d, n))
+        self._g[0] = self._spare[0] = 1.0
+        self._g[1 : 1 + d] = x0.T
+        self._tables = {}  # id(term) -> (C, D); the schedule keeps its terms alive
+
+    def step(self, term, h: float) -> np.ndarray:
+        tables = self._tables.get(id(term))
+        if tables is None:
+            tables = self._tables[id(term)] = _term_step_tables(term)
+        C, D = tables
+        T = C + h * D
+        d, g = self._d, self._g
+        for k in range(1, 5):
+            tau = g[1 + k * d : 1 + (k + 1) * d]
+            np.matmul(T[(k - 1) * d : k * d, : 1 + k * d], g[: 1 + k * d], out=tau)
+            np.tanh(tau, out=tau)
+        np.matmul(T[4 * d :], g, out=self._spare[1 : 1 + d])
+        self._g, self._spare = self._spare, g
+        return self._g[1 : 1 + d].T
+
+
 def integrate_flow(vf, mu0: ParticleEnsemble, cfg: IntegratorConfig) -> MeasureTrajectory:
     """Push mu0 forward along the field, recording snapshots at cfg.snap_times."""
     snaps_req = cfg.snap_times
@@ -171,25 +242,26 @@ def integrate_flow(vf, mu0: ParticleEnsemble, cfg: IntegratorConfig) -> MeasureT
 
     x = np.array(mu0.points, dtype=float)
     recorded = [ParticleEnsemble(x)]
+    term_flow = _TermFlow(x) if piecewise else None
 
-    for a, b in zip(boundaries[:-1], boundaries[1:]):
+    for a, b in zip(boundaries[:-1].tolist(), boundaries[1:].tolist()):
         if piecewise:
             # freeze the piece active at a, so the window's right endpoint
             # cannot evaluate the next piece
-            piece = vf.static_piece(vf.piece_index(float(a)))
-            f = lambda t, x: piece(x)
-        else:
-            f = vf.velocity
-        span = float(b - a)
+            term = vf.pieces[vf.piece_index(a)]
+        span = b - a
         k = max(1, int(np.ceil(span / cfg.base_step - 1e-12)))
         h = span / k
-        t = float(a)
+        t = a
         for j in range(k):
-            hj = float(b) - t if j == k - 1 else h
-            x = _rk4_step(f, t, x, hj)
-            t = float(b) if j == k - 1 else t + h
+            hj = b - t if j == k - 1 else h
+            if piecewise:
+                x = term_flow.step(term, hj)
+            else:
+                x = _rk4_step(vf.velocity, t, x, hj)
+            t = b if j == k - 1 else t + h
             _check_finite(x, t)
-        if float(b) in snap_set:
+        if b in snap_set:
             recorded.append(ParticleEnsemble(x))
 
     provenance = {

@@ -156,11 +156,87 @@ class TestIntegrateFlow:
         with pytest.raises(DivergenceError, match=r"particle 3 diverged"):
             integrate_flow(NanAtThree(), mu0, IntegratorConfig(base_step=0.1))
 
+    def test_schedule_divergence_names_the_particle(self):
+        # only particle 2 sits where the steep gate is open; the others stay put
+        term = NeuralTerm(1e9 * np.eye(2), 50.0 * np.eye(2), np.zeros(2))
+        schedule = ControlSchedule([0.0, 0.5, 1.0], [term, term])
+        mu0 = ParticleEnsemble([[-1.0, -1.0], [-2.0, -1.0], [1.0, 1.0], [-1.0, -3.0]])
+        with pytest.raises(DivergenceError, match=r"particle 2 diverged"):
+            integrate_flow(schedule, mu0, IntegratorConfig(base_step=0.01))
+
     def test_provenance_records_field(self):
         vf = benchmark_field("rotation", {"omega": 1.0})
         traj = integrate_flow(vf, _disk(5), IntegratorConfig())
         assert traj.provenance["field"] == "rotation"
         assert traj.provenance["integrator"]["method"] == "rk4"
+
+
+class _PlainTerm:
+    """A term as a general field, so integrate_flow steps it with the generic RK4."""
+
+    def __init__(self, term, horizon):
+        self.term, self.dim, self.horizon = term, term.dim, horizon
+
+    def velocity(self, t, x):
+        return self.term(x)
+
+
+def _piecewise_oracle(schedule, x0, snaps, base_step):
+    """Snapshots at snaps, each piece pushed over its own window as a _PlainTerm.
+
+    Every breakpoint and snap time bounds a window here too, so the generic
+    RK4 steps on the grid integrate_flow uses for the schedule.
+    """
+    bp, at = schedule.breakpoints, {0.0: x0}
+    x = x0
+    for j, term in enumerate(schedule.pieces):
+        a, b = float(bp[j]), float(bp[j + 1])
+        ends = np.append(snaps[(snaps > a) & (snaps < b)], b)
+        cfg = IntegratorConfig(base_step=base_step, snap_times=np.append(0.0, ends - a))
+        traj = integrate_flow(_PlainTerm(term, b - a), ParticleEnsemble(x), cfg)
+        at.update(zip(ends.tolist(), (s.points for s in traj.snapshots[1:])))
+        x = traj.final.points
+    return [at[t] for t in snaps.tolist()]
+
+
+def _random_term(rng, d, gain=1.0):
+    return NeuralTerm(gain * rng.normal(size=(d, d)), rng.normal(size=(d, d)), rng.normal(size=d))
+
+
+class TestScheduleSteps:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_fused_step_matches_generic_rk4(self, d):
+        rng = np.random.default_rng(10 + d)
+        terms = [
+            _random_term(rng, d),
+            NeuralTerm(rng.normal(size=(d, d)), np.zeros((d, d)), rng.normal(size=d)),
+            _random_term(rng, d, gain=100.0),
+            _random_term(rng, d),
+        ]
+        schedule = ControlSchedule([0.0, 0.3, 0.45, 0.5, 1.0], terms)
+        # snapshots cut the first and last pieces; base_step 0.02 is below
+        # every window's length, so each window takes k > 1 steps
+        snaps = np.array([0.0, 0.1, 0.45, 0.7, 0.9, 1.0])
+        mu0 = ParticleEnsemble(rng.normal(size=(30, d)))
+        traj = integrate_flow(schedule, mu0, IntegratorConfig(base_step=0.02, snap_times=snaps))
+        oracle = _piecewise_oracle(schedule, mu0.points, snaps, 0.02)
+        scale = max(np.abs(x).max() for x in oracle)
+        for snap, expected in zip(traj.snapshots, oracle):
+            assert np.abs(snap.points - expected).max() <= 1e-12 * scale
+
+    def test_fused_step_is_fourth_order(self):
+        rng = np.random.default_rng(4)
+        schedule = ControlSchedule([0.0, 1.0], [_random_term(rng, 2, gain=2.0)])
+        mu0 = ParticleEnsemble(rng.normal(size=(20, 2)))
+        snap = np.array([0.0, 1.0])
+
+        def final(h):
+            return integrate_flow(schedule, mu0, IntegratorConfig(base_step=h, snap_times=snap)).final.points
+
+        fine = final(1 / 3200)
+        errors = [np.abs(final(h) - fine).max() for h in (1 / 25, 1 / 50, 1 / 100)]
+        for coarse, finer in zip(errors, errors[1:]):
+            assert 12.0 <= coarse / finer <= 20.0
 
 
 class TestTrajectoryIO:

@@ -79,6 +79,20 @@ class TestControlSchedule:
         assert set(d["pieces"][0]) == {"A", "W", "theta"}
         assert d["activation"] == "logistic"
 
+    def test_to_json_is_json_dumps_of_the_dict(self):
+        rng = np.random.default_rng(3)
+        nf = NeuralField((_term(rng), _term(rng), _term(rng)))
+        repeated = oscillation_schedule(nf, (0.0, 1.0), 4)
+        quiescent = NeuralTerm(np.zeros((2, 2)), np.eye(2), np.zeros(2))
+        zero_window = ControlSchedule(
+            np.concatenate([[0.0], repeated.breakpoints / 2.0 + 0.5]), [quiescent] + repeated.pieces
+        )
+        reloaded = ControlSchedule.from_json(repeated.to_json())
+        assert len({id(p) for p in repeated.pieces}) == 3
+        assert len({id(p) for p in reloaded.pieces}) == reloaded.piece_count == 12
+        for sched in (repeated, zero_window, reloaded):
+            assert sched.to_json() == json.dumps(sched.to_json_dict())
+
     def test_json_other_activation_rejected(self):
         d = json.loads(self._schedule().to_json())
         d["activation"] = "relu"
