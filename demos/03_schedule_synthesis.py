@@ -33,13 +33,17 @@ for n_osc in (1, 2, 4, 8, 16):
     result = synthesize_controls(vf, mu0, params)
     synthesized = integrate_flow(result.schedule, mu0, cfg)
     err = sup_w2(synthesized, reference)
-    gain = max(np.abs(p.A).max() for p in result.schedule.pieces)
+    gain = max(np.abs(t.A).max() for t in result.schedule.terms)
     print(f"{n_osc:5d}  {result.schedule.piece_count:6d}  {gain:9.3f}  {err:.4f}")
 
-# the schedule is a self-contained artifact: weights, switching times, and
-# the activation, all replayable from JSON
+# the schedule is a self-contained artifact: the distinct weights, the
+# switching times, which weights each piece uses, and the activation, all
+# replayable from JSON
 params = SynthesisParams(n_avg=1, m_width=64, fit_tolerance=0.1, n_osc=16, seed=0)
 result = synthesize_controls(vf, mu0, params)
 text = result.schedule.to_json()
-print(f"\nschedule JSON: {len(text)} bytes, fit sup-error {result.report.max_fit_error:.2e}")
+print(
+    f"\nschedule JSON: {len(text)} bytes for {len(result.schedule.terms)} terms and "
+    f"{result.schedule.piece_count} pieces, fit sup-error {result.report.max_fit_error:.2e}"
+)
 print(f"fit region radius (particles + reachable set): {result.report.omega_radius:.2f}")

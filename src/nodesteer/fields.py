@@ -8,9 +8,9 @@ kinds are
   m >= 1 terms, time-independent, the class of admissible right-hand sides,
 * :class:`VectorFieldSpec` -- an arbitrary evaluator with declared sup-norm and
   Lipschitz bounds over a region, validated against sampled estimates,
-* :class:`ControlSchedule` -- one logistic term active on each of consecutive
-  time windows, the piecewise-constant weights of a neural ODE; it round-trips
-  through its ``schedule.json`` form.
+* :class:`ControlSchedule` -- the piecewise-constant weights of a neural ODE,
+  its distinct logistic terms plus one term index per time window; it
+  round-trips through its ``schedule.json`` form.
 
 Every term's activation Sigma is the logistic function :func:`logistic`,
 whose Lipschitz constant is 1/4. A term :class:`NeuralTerm` evaluates itself,
@@ -104,7 +104,9 @@ class NeuralTerm:
 
     @staticmethod
     def from_dict(d: Mapping) -> "NeuralTerm":
-        return NeuralTerm(np.asarray(d["A"]), np.asarray(d["W"]), np.asarray(d["theta"]))
+        if not isinstance(d, Mapping) or set(d) != {"A", "W", "theta"}:
+            raise ValueError("a term is an object with the keys A, W and theta")
+        return NeuralTerm(*(_numbers(d[key], f"term {key}") for key in ("A", "W", "theta")))
 
 
 @dataclass(frozen=True)
@@ -161,38 +163,42 @@ class NeuralField:
 
 
 class ControlSchedule:
-    """Piecewise-constant weights: one (A, W, theta) triple active per piece.
+    """Piecewise-constant weights: distinct terms and one term index per piece.
 
-    Piece j governs [t_j, t_{j+1}); evaluation is right-continuous in t and
-    t = T uses the last piece. Evaluation at (t, x) with active piece
-    (A, W, theta) is A Sigma(W x + theta), the piece's own call, so the
-    schedule is an admissible neural-ODE right-hand side by construction.
-    ``schedule.json`` holds its breakpoints, its pieces' ``NeuralTerm``
-    dicts and ``"activation": "logistic"``; loading accepts no other value.
+    Piece j governs [t_j, t_{j+1}) with term ``terms[order[j]]``, where
+    ``order`` is a read-only int array; evaluation is right-continuous in t
+    and t = T uses the last piece. Each piece is its term's own call
+    A Sigma(W x + theta), so the schedule is an admissible neural-ODE
+    right-hand side by construction.
     """
 
-    def __init__(self, breakpoints: Sequence[float], pieces: Sequence[NeuralTerm]):
-        bp = np.asarray(breakpoints, dtype=float)
+    def __init__(self, breakpoints: Sequence[float], terms: Sequence[NeuralTerm], order: Sequence[int]):
+        bp = np.array(breakpoints, dtype=float)
         if bp.ndim != 1 or bp.size < 2 or not np.all(np.diff(bp) > 0):
             raise ValueError("breakpoints must be strictly increasing with >= 2 entries")
-        if len(pieces) != bp.size - 1:
-            raise ValueError(f"{bp.size - 1} windows but {len(pieces)} pieces")
-        if not all(isinstance(p, NeuralTerm) for p in pieces):
-            raise ValueError("every schedule piece must be a single NeuralTerm")
-        if any(p.dim != pieces[0].dim for p in pieces):
-            raise ValueError("all pieces must share one dimension")
-        bp = bp.copy()
+        terms, order = tuple(terms), np.array(order)
+        if not all(isinstance(t, NeuralTerm) for t in terms):
+            raise ValueError("every schedule term must be a single NeuralTerm")
+        if any(t.dim != terms[0].dim for t in terms):
+            raise ValueError("all terms must share one dimension")
+        if order.shape != (bp.size - 1,):
+            raise ValueError(f"{bp.size - 1} windows need as many term indices, order has shape {order.shape}")
+        if order.dtype.kind not in "iu":
+            raise ValueError(f"order must hold integer term indices, got dtype {order.dtype}")
+        if order.min() < 0 or order.max() >= len(terms):
+            raise ValueError(f"term indices must lie in [0, {len(terms)})")
+        order = order.astype(np.intp, copy=False)
         bp.setflags(write=False)
-        self.breakpoints = bp
-        self.pieces = list(pieces)
+        order.setflags(write=False)
+        self.breakpoints, self.terms, self.order = bp, terms, order
 
     @property
     def dim(self) -> int:
-        return self.pieces[0].dim
+        return self.terms[0].dim
 
     @property
     def piece_count(self) -> int:
-        return len(self.pieces)
+        return self.order.size
 
     @property
     def horizon(self) -> float:
@@ -202,10 +208,10 @@ class ControlSchedule:
         if t < self.breakpoints[0] or t > self.breakpoints[-1]:
             raise ValueError(f"t = {t} outside [{self.breakpoints[0]}, {self.breakpoints[-1]}]")
         j = int(np.searchsorted(self.breakpoints, t, side="right")) - 1
-        return min(max(j, 0), len(self.pieces) - 1)
+        return min(max(j, 0), self.piece_count - 1)
 
     def static_piece(self, j: int) -> NeuralTerm:
-        return self.pieces[j]
+        return self.terms[self.order[j]]
 
     def velocity(self, t: float, x: np.ndarray) -> np.ndarray:
         return self.static_piece(self.piece_index(t))(x)
@@ -214,33 +220,27 @@ class ControlSchedule:
         return {
             "activation": "logistic",
             "breakpoints": self.breakpoints.tolist(),
-            "pieces": [p.to_dict() for p in self.pieces],
+            "terms": [t.to_dict() for t in self.terms],
+            "order": self.order.tolist(),
         }
 
     def to_json(self) -> str:
-        """``json.dumps(self.to_json_dict())``, byte for byte.
-
-        A schedule repeats a few distinct terms many times, so each distinct
-        piece object is encoded once and the encoded strings are joined.
-        """
-        distinct = {id(p): p for p in self.pieces}
-        encoded = {key: json.dumps(p.to_dict()) for key, p in distinct.items()}
-        pieces = ", ".join(encoded[id(p)] for p in self.pieces)
-        head = json.dumps({"activation": "logistic", "breakpoints": self.breakpoints.tolist()})
-        return f'{head[:-1]}, "pieces": [{pieces}]}}'
-
-    @staticmethod
-    def from_json_dict(d: Mapping) -> "ControlSchedule":
-        if d["activation"] != "logistic":
-            raise ValueError(f"schedule pieces are logistic, got activation {d['activation']!r}")
-        return ControlSchedule(
-            np.asarray(d["breakpoints"], dtype=float),
-            [NeuralTerm.from_dict(p) for p in d["pieces"]],
-        )
+        return json.dumps(self.to_json_dict())
 
     @staticmethod
     def from_json(text: str) -> "ControlSchedule":
-        return ControlSchedule.from_json_dict(json.loads(text))
+        """Load ``schedule.json``, outside input: exactly the keys ``to_json_dict`` writes."""
+        d = json.loads(text)
+        if isinstance(d, dict) and "pieces" in d:
+            raise ValueError("schedule has 'pieces', the older format that repeats each piece's term in full")
+        if not isinstance(d, dict) or set(d) != {"activation", "breakpoints", "terms", "order"}:
+            raise ValueError("a schedule is a JSON object with the keys activation, breakpoints, terms and order")
+        if d["activation"] != "logistic":
+            raise ValueError(f"schedule terms are logistic, got activation {d['activation']!r}")
+        if not isinstance(d["order"], list) or any(type(i) is not int for i in d["order"]):
+            raise ValueError("schedule order must be a list of integers")
+        terms = [NeuralTerm.from_dict(t) for t in d["terms"]]
+        return ControlSchedule(np.asarray(d["breakpoints"], dtype=float), terms, d["order"])
 
 
 @dataclass(frozen=True)
@@ -420,7 +420,7 @@ def _neural_static_spec(params: Mapping) -> dict:
     if activation != "logistic":
         raise ValueError(f"neural-static terms are logistic, got activation {activation!r}")
     nf = NeuralField(
-        tuple(NeuralTerm(*(_numbers(t[key], f"terms {key}") for key in ("A", "W", "theta"))) for t in params["terms"])
+        tuple(NeuralTerm.from_dict(t) for t in params["terms"])
     )
     region = _ball(params, np.zeros(nf.dim))
     # C declared from the largest speed at 256 sampled points with headroom;

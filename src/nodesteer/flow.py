@@ -9,7 +9,8 @@ the active piece is frozen.
 
 A piece's right-hand side A Sigma(W x + theta) depends on x only through
 z = W x + theta, so schedule pieces step in z: the same RK4 on the same grid
-as a general field's, with different last-digit rounding.
+as a general field's, with different last-digit rounding, from step tables
+built once per term of the schedule.
 """
 
 from __future__ import annotations
@@ -191,29 +192,26 @@ def _term_step_tables(term) -> tuple:
 
 
 class _TermFlow:
-    """Particles pushed by fused RK4 steps of single terms.
+    """Particles pushed by fused RK4 steps of a schedule's terms.
 
     The state is rows 1..d of a (1 + 5d, n) array g = [1; x; tau_1; ...;
     tau_4], so every stage is one matmul and one tanh on contiguous rows, and
     a step returns the state as an (n, d) Fortran-order view. The step's last
     matmul reads the whole of g, so it writes the new state into a second
-    such array and the two swap. Each distinct term's tables are built on
-    its first step.
+    such array and the two swap. Each term's tables are built once, indexed
+    as the schedule's terms are.
     """
 
-    def __init__(self, x0: np.ndarray):
+    def __init__(self, x0: np.ndarray, terms):
         n, d = x0.shape
         self._d = d
         self._g, self._spare = np.empty((1 + 5 * d, n)), np.empty((1 + 5 * d, n))
         self._g[0] = self._spare[0] = 1.0
         self._g[1 : 1 + d] = x0.T
-        self._tables = {}  # id(term) -> (C, D); the schedule keeps its terms alive
+        self._tables = [_term_step_tables(term) for term in terms]
 
-    def step(self, term, h: float) -> np.ndarray:
-        tables = self._tables.get(id(term))
-        if tables is None:
-            tables = self._tables[id(term)] = _term_step_tables(term)
-        C, D = tables
+    def step(self, i: int, h: float) -> np.ndarray:
+        C, D = self._tables[i]
         T = C + h * D
         d, g = self._d, self._g
         for k in range(1, 5):
@@ -242,13 +240,13 @@ def integrate_flow(vf, mu0: ParticleEnsemble, cfg: IntegratorConfig) -> MeasureT
 
     x = np.array(mu0.points, dtype=float)
     recorded = [ParticleEnsemble(x)]
-    term_flow = _TermFlow(x) if piecewise else None
+    term_flow = _TermFlow(x, vf.terms) if piecewise else None
 
     for a, b in zip(boundaries[:-1].tolist(), boundaries[1:].tolist()):
         if piecewise:
-            # freeze the piece active at a, so the window's right endpoint
-            # cannot evaluate the next piece
-            term = vf.pieces[vf.piece_index(a)]
+            # freeze the term active at a, so the window's right endpoint
+            # cannot evaluate the next piece's
+            term_index = vf.order[vf.piece_index(a)]
         span = b - a
         k = max(1, int(np.ceil(span / cfg.base_step - 1e-12)))
         h = span / k
@@ -256,7 +254,7 @@ def integrate_flow(vf, mu0: ParticleEnsemble, cfg: IntegratorConfig) -> MeasureT
         for j in range(k):
             hj = b - t if j == k - 1 else h
             if piecewise:
-                x = term_flow.step(term, hj)
+                x = term_flow.step(term_index, hj)
             else:
                 x = _rk4_step(vf.velocity, t, x, hj)
             t = b if j == k - 1 else t + h

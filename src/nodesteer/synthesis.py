@@ -222,7 +222,7 @@ def oscillation_schedule(nf: NeuralField, window, N: int) -> ControlSchedule:
     Splits the window into N periods of m equal subintervals; subinterval i
     carries the single term (m * A_i, W_i, theta_i), so over any full period
     the gain factor m cancels the 1/m time fraction exactly. The m scaled
-    terms are built once and shared by all N periods.
+    terms are held once, and the order cycles through them in each period.
     """
     t_a, t_b = float(window[0]), float(window[1])
     if not t_b > t_a:
@@ -231,7 +231,7 @@ def oscillation_schedule(nf: NeuralField, window, N: int) -> ControlSchedule:
         raise ValueError("period count N must be >= 1")
     m = nf.width
     scaled = [term.scaled(float(m)) for term in nf.terms]
-    return ControlSchedule(np.linspace(t_a, t_b, m * N + 1), scaled * N)
+    return ControlSchedule(np.linspace(t_a, t_b, m * N + 1), scaled, np.tile(np.arange(m), N))
 
 
 # -- full pipeline: the fit stage and the schedule stage ------------------------
@@ -339,23 +339,23 @@ def fit_windows(
 def schedule_windows(fits: WindowFits, params: SynthesisParams) -> SynthesisResult:
     """Schedule stage: oscillate each window's fit over params.n_osc periods.
 
-    Concatenates the window schedules and reports the run under params. A
-    window whose fit is identically zero gets one quiescent piece instead.
+    Concatenates the window schedules, offsetting each one's term indices,
+    and reports the run under params. A window whose fit is identically zero
+    gets one quiescent term and piece instead.
     """
     d = fits.dim
-    all_breakpoints = [0.0]
-    all_pieces = []
+    breakpoints, terms, orders = [np.zeros(1)], [], []
     for (a, b), fit in zip(fits.windows, fits.fits):
         if all(np.all(t.A == 0.0) for t in fit.field.terms):
             # zero window: a single quiescent piece instead of an oscillation
-            all_breakpoints.append(b)
-            all_pieces.append(NeuralTerm(np.zeros((d, d)), np.eye(d), np.zeros(d)))
+            window_schedule = ControlSchedule([a, b], [NeuralTerm(np.zeros((d, d)), np.eye(d), np.zeros(d))], [0])
         else:
             window_schedule = oscillation_schedule(fit.field, (a, b), params.n_osc)
-            all_breakpoints.extend(window_schedule.breakpoints[1:].tolist())
-            all_pieces.extend(window_schedule.pieces)
+        breakpoints.append(window_schedule.breakpoints[1:])
+        orders.append(window_schedule.order + len(terms))
+        terms.extend(window_schedule.terms)
 
-    schedule = ControlSchedule(np.asarray(all_breakpoints), all_pieces)
+    schedule = ControlSchedule(np.concatenate(breakpoints), terms, np.concatenate(orders))
     return SynthesisResult(schedule, SynthesisReport(params, fits, schedule.piece_count))
 
 

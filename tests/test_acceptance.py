@@ -193,10 +193,10 @@ def test_criterion_7_endpoint_steering(tmp_path):
 
     sched = ControlSchedule.from_json((tmp_path / "rows" / row.key / "schedule.json").read_text())
     assert sched.piece_count == largest[0] * largest[1] * largest[2]
-    for piece in sched.pieces:
-        assert isinstance(piece, NeuralTerm)
-        assert piece.A.shape == piece.W.shape == (2, 2)
-        assert piece.theta.shape == (2,)
+    for term in sched.terms:
+        assert isinstance(term, NeuralTerm)
+        assert term.A.shape == term.W.shape == (2, 2)
+        assert term.theta.shape == (2,)
     print(
         f"criterion 7 PASS: final_w2 = {row.final_w2:.3g} <= 0.1 at {largest}, "
         f"{sched.piece_count} admissible pieces, {elapsed:.0f}s"

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -9,6 +12,7 @@ from nodesteer.harness import ConfigError, ExperimentConfig, run_endpoint_experi
 from nodesteer.synthesis import ControlSchedule
 
 CONFIGS = Path(__file__).parent / "configs"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 def _write(tmp_path, name, payload):
     path = tmp_path / name
@@ -106,6 +110,39 @@ class TestSimulate:
         capsys.readouterr()
         assert main(["simulate", "--config", cfg2, "--out", str(out)]) == EXIT_ALL_FAILED
         assert "'relu'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (
+                lambda d: {
+                    "activation": d["activation"],
+                    "breakpoints": d["breakpoints"],
+                    "pieces": [d["terms"][i] for i in d["order"]],
+                },
+                "'pieces', the older format",
+            ),
+            (lambda d: {**d, "order": [True] * len(d["order"])}, "list of integers"),
+            (lambda d: {**d, "order": [len(d["terms"])] * len(d["order"])}, "term indices must lie in"),
+            (lambda d: {**d, "order": d["order"][1:]}, "need as many term indices"),
+        ],
+    )
+    def test_bad_schedule_file_fails_without_traceback(self, tmp_path, change, message):
+        # a schedule file is outside input: the command reports it and exits non-zero
+        cfg = _write(tmp_path, "cfg.json", _trajectory_payload())
+        sched_dir = tmp_path / "sched"
+        assert main(["synthesize", "--config", cfg, "--out", str(sched_dir)]) == EXIT_OK
+        path = sched_dir / "schedule.json"
+        path.write_text(json.dumps(change(json.loads(path.read_text()))))
+        cfg2 = _write(tmp_path, "cfg2.json", _trajectory_payload(schedule=str(path)))
+        out = tmp_path / "replay"
+        cmd = [sys.executable, "-m", "nodesteer.cli", "simulate", "--config", cfg2, "--out", str(out)]
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        proc = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == EXIT_ALL_FAILED
+        assert "Traceback" not in proc.stderr
+        assert message in proc.stderr
         assert not out.exists()
 
 

@@ -129,7 +129,7 @@ class TestPiecewiseConstField:
     """ControlSchedule as a piecewise-constant field: breakpoints, piece lookup, dispatch."""
 
     def _field(self):
-        return ControlSchedule([0.0, 0.5, 1.0], [_constant_term([1.0, 1.0]), _constant_term([-1.0, -1.0])])
+        return ControlSchedule([0.0, 0.5, 1.0], [_constant_term([1.0, 1.0]), _constant_term([-1.0, -1.0])], [0, 1])
 
     def test_right_continuous_at_breakpoint(self):
         field = self._field()
@@ -152,11 +152,33 @@ class TestPiecewiseConstField:
 
     def test_breakpoints_must_increase(self):
         with pytest.raises(ValueError):
-            ControlSchedule([0.0, 0.0, 1.0], [_constant_term([1.0]), _constant_term([1.0])])
+            ControlSchedule([0.0, 0.0, 1.0], [_constant_term([1.0])], [0, 0])
 
     def test_piece_count_mismatch(self):
         with pytest.raises(ValueError):
-            ControlSchedule([0.0, 1.0], [_constant_term([1.0]), _constant_term([1.0])])
+            ControlSchedule([0.0, 1.0], [_constant_term([1.0])], [0, 0])
+
+    @pytest.mark.parametrize(
+        "order, message",
+        [
+            (np.array([True, False]), "integer term indices"),
+            (np.array([0.0, 1.0]), "integer term indices"),
+            (np.array([[0, 1]]), r"order has shape \(1, 2\)"),
+            (np.array([0, 2]), r"must lie in \[0, 2\)"),
+            (np.array([-1, 1]), r"must lie in \[0, 2\)"),
+        ],
+    )
+    def test_order_must_index_the_terms(self, order, message):
+        terms = [_constant_term([1.0]), _constant_term([-1.0])]
+        with pytest.raises(ValueError, match=message):
+            ControlSchedule([0.0, 0.5, 1.0], terms, order)
+
+    def test_pieces_share_their_term(self):
+        term = _constant_term([1.0])
+        field = ControlSchedule([0.0, 0.5, 1.0], [term], np.array([0, 0], dtype=np.uint8))
+        assert field.piece_count == 2
+        assert field.static_piece(0) is field.static_piece(1) is term
+        assert field.order.dtype == np.intp
 
 
 class TestEstimateBounds:

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from nodesteer.fields import ControlSchedule, NeuralTerm, benchmark_field
+from nodesteer import flow
+from nodesteer.fields import ControlSchedule, NeuralField, NeuralTerm, benchmark_field
 from nodesteer.flow import (
     DivergenceError,
     IntegratorConfig,
@@ -11,6 +12,7 @@ from nodesteer.flow import (
     support_growth_check,
 )
 from nodesteer.measures import ParticleEnsemble, sample_measure, MeasureSpec
+from nodesteer.synthesis import oscillation_schedule
 from nodesteer.transport import w2_exact
 
 
@@ -102,7 +104,7 @@ class TestIntegrateFlow:
 
     def test_dim_mismatch(self):
         vf = benchmark_field("rotation", {"omega": 1.0})
-        schedule = ControlSchedule([0.0, 1.0], [_constant_term([1.0, 0.0])])
+        schedule = ControlSchedule([0.0, 1.0], [_constant_term([1.0, 0.0])], [0])
         mu0 = ParticleEnsemble([[0.0, 0.0, 0.0]])
         for field in (vf, schedule):
             with pytest.raises(ValueError):
@@ -112,7 +114,7 @@ class TestIntegrateFlow:
         # +v then -v must cancel exactly; base_step larger than the window
         # forces the integrator to subdivide at the breakpoint
         v = np.array([2.0, 1.0])
-        field = ControlSchedule([0.0, 0.5, 1.0], [_constant_term(v), _constant_term(-v)])
+        field = ControlSchedule([0.0, 0.5, 1.0], [_constant_term(v), _constant_term(-v)], [0, 1])
         mu0 = _disk(15, seed=2)
         cfg = IntegratorConfig(base_step=0.3, snap_times=np.array([0.0, 0.5, 1.0]))
         traj = integrate_flow(field, mu0, cfg)
@@ -123,7 +125,7 @@ class TestIntegrateFlow:
         # piece 1 has gain 1e12; an RK4 stage leaking past t = 0.5 would throw
         # the state far off even though integration stops at 0.5
         huge = NeuralTerm(1e12 * np.eye(2), np.zeros((2, 2)), np.zeros(2))
-        field = ControlSchedule([0.0, 0.5, 1.0], [_constant_term([1.0, 1.0]), huge])
+        field = ControlSchedule([0.0, 0.5, 1.0], [_constant_term([1.0, 1.0]), huge], [0, 1])
         mu0 = ParticleEnsemble([[0.0, 0.0]])
         cfg = IntegratorConfig(base_step=0.25, snap_times=np.array([0.0, 0.5]))
         traj = integrate_flow(field, mu0, cfg)
@@ -159,7 +161,7 @@ class TestIntegrateFlow:
     def test_schedule_divergence_names_the_particle(self):
         # only particle 2 sits where the steep gate is open; the others stay put
         term = NeuralTerm(1e9 * np.eye(2), 50.0 * np.eye(2), np.zeros(2))
-        schedule = ControlSchedule([0.0, 0.5, 1.0], [term, term])
+        schedule = ControlSchedule([0.0, 0.5, 1.0], [term], [0, 0])
         mu0 = ParticleEnsemble([[-1.0, -1.0], [-2.0, -1.0], [1.0, 1.0], [-1.0, -3.0]])
         with pytest.raises(DivergenceError, match=r"particle 2 diverged"):
             integrate_flow(schedule, mu0, IntegratorConfig(base_step=0.01))
@@ -189,8 +191,8 @@ def _piecewise_oracle(schedule, x0, snaps, base_step):
     """
     bp, at = schedule.breakpoints, {0.0: x0}
     x = x0
-    for j, term in enumerate(schedule.pieces):
-        a, b = float(bp[j]), float(bp[j + 1])
+    for j in range(schedule.piece_count):
+        term, a, b = schedule.static_piece(j), float(bp[j]), float(bp[j + 1])
         ends = np.append(snaps[(snaps > a) & (snaps < b)], b)
         cfg = IntegratorConfig(base_step=base_step, snap_times=np.append(0.0, ends - a))
         traj = integrate_flow(_PlainTerm(term, b - a), ParticleEnsemble(x), cfg)
@@ -213,7 +215,7 @@ class TestScheduleSteps:
             _random_term(rng, d, gain=100.0),
             _random_term(rng, d),
         ]
-        schedule = ControlSchedule([0.0, 0.3, 0.45, 0.5, 1.0], terms)
+        schedule = ControlSchedule([0.0, 0.3, 0.45, 0.5, 1.0], terms, [0, 1, 2, 3])
         # snapshots cut the first and last pieces; base_step 0.02 is below
         # every window's length, so each window takes k > 1 steps
         snaps = np.array([0.0, 0.1, 0.45, 0.7, 0.9, 1.0])
@@ -224,9 +226,33 @@ class TestScheduleSteps:
         for snap, expected in zip(traj.snapshots, oracle):
             assert np.abs(snap.points - expected).max() <= 1e-12 * scale
 
+    def test_tables_are_built_once_per_term(self, monkeypatch):
+        # m = 3 terms switched over N = 4 periods: 12 pieces, 3 step tables,
+        # whether the schedule was built in memory or loaded from its JSON
+        rng = np.random.default_rng(5)
+        nf = NeuralField(tuple(_random_term(rng, 2) for _ in range(3)))
+        built = oscillation_schedule(nf, (0.0, 1.0), 4)
+        loaded = ControlSchedule.from_json(built.to_json())
+        calls, build_tables = [], flow._term_step_tables
+
+        def counted(term):
+            calls.append(term)
+            return build_tables(term)
+
+        monkeypatch.setattr(flow, "_term_step_tables", counted)
+        mu0 = ParticleEnsemble(rng.normal(size=(10, 2)))
+        cfg = IntegratorConfig(base_step=0.02, snap_times=np.linspace(0.0, 1.0, 3))
+        finals = []
+        for schedule in (built, loaded):
+            calls.clear()
+            finals.append(integrate_flow(schedule, mu0, cfg).final.points)
+            assert schedule.piece_count == 12
+            assert len(calls) == len(schedule.terms) == 3
+        assert np.array_equal(*finals)
+
     def test_fused_step_is_fourth_order(self):
         rng = np.random.default_rng(4)
-        schedule = ControlSchedule([0.0, 1.0], [_random_term(rng, 2, gain=2.0)])
+        schedule = ControlSchedule([0.0, 1.0], [_random_term(rng, 2, gain=2.0)], [0])
         mu0 = ParticleEnsemble(rng.normal(size=(20, 2)))
         snap = np.array([0.0, 1.0])
 

@@ -41,25 +41,25 @@ def _rotation_target(p):
 class TestControlSchedule:
     def _schedule(self):
         rng = np.random.default_rng(0)
-        return ControlSchedule([0.0, 0.5, 1.0], [_term(rng), _term(rng)])
+        return ControlSchedule([0.0, 0.5, 1.0], [_term(rng), _term(rng)], [0, 1])
 
     def test_piece_evaluation_matches_single_term_field(self):
         sched = self._schedule()
         x = np.random.default_rng(1).normal(size=(6, 2))
         for j, t in [(0, 0.2), (1, 0.7)]:
-            single = NeuralField((sched.pieces[j],))
+            single = NeuralField((sched.static_piece(j),))
             assert np.array_equal(sched.velocity(t, x), single(x))
 
     def test_piece_count_mismatch(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
-            ControlSchedule([0.0, 1.0], [_term(rng), _term(rng)])
+            ControlSchedule([0.0, 1.0], [_term(rng), _term(rng)], [0, 1])
 
     def test_pieces_must_be_single_terms(self):
         rng = np.random.default_rng(0)
         nf = NeuralField((_term(rng),))
         with pytest.raises(ValueError):
-            ControlSchedule([0.0, 1.0], [nf])
+            ControlSchedule([0.0, 1.0], [nf], [0])
 
     def test_out_of_range_time(self):
         sched = self._schedule()
@@ -75,9 +75,10 @@ class TestControlSchedule:
 
     def test_json_fields(self):
         d = json.loads(self._schedule().to_json())
-        assert set(d) == {"activation", "breakpoints", "pieces"}
-        assert set(d["pieces"][0]) == {"A", "W", "theta"}
+        assert list(d) == ["activation", "breakpoints", "terms", "order"]
+        assert set(d["terms"][0]) == {"A", "W", "theta"}
         assert d["activation"] == "logistic"
+        assert d["order"] == [0, 1]
 
     def test_to_json_is_json_dumps_of_the_dict(self):
         rng = np.random.default_rng(3)
@@ -85,11 +86,15 @@ class TestControlSchedule:
         repeated = oscillation_schedule(nf, (0.0, 1.0), 4)
         quiescent = NeuralTerm(np.zeros((2, 2)), np.eye(2), np.zeros(2))
         zero_window = ControlSchedule(
-            np.concatenate([[0.0], repeated.breakpoints / 2.0 + 0.5]), [quiescent] + repeated.pieces
+            np.concatenate([[0.0], repeated.breakpoints / 2.0 + 0.5]),
+            [quiescent, *repeated.terms],
+            np.concatenate([[0], repeated.order + 1]),
         )
         reloaded = ControlSchedule.from_json(repeated.to_json())
-        assert len({id(p) for p in repeated.pieces}) == 3
-        assert len({id(p) for p in reloaded.pieces}) == reloaded.piece_count == 12
+        assert len(repeated.terms) == len(reloaded.terms) == 3
+        assert reloaded.piece_count == 12
+        assert np.array_equal(reloaded.order, repeated.order)
+        assert zero_window.to_json_dict()["order"] == [0] + [1, 2, 3] * 4
         for sched in (repeated, zero_window, reloaded):
             assert sched.to_json() == json.dumps(sched.to_json_dict())
 
@@ -98,6 +103,48 @@ class TestControlSchedule:
         d["activation"] = "relu"
         with pytest.raises(ValueError, match="'relu'"):
             ControlSchedule.from_json(json.dumps(d))
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (lambda d: d.pop("order"), "the keys activation, breakpoints, terms and order"),
+            (lambda d: d.update(seed=0), "the keys activation, breakpoints, terms and order"),
+            (lambda d: d.update(pieces=[]), "'pieces', the older format"),
+            (lambda d: d.update(order=[0]), r"2 windows need as many term indices, order has shape \(1,\)"),
+            (lambda d: d.update(order=[0, 1, 1]), r"order has shape \(3,\)"),
+            (lambda d: d.update(order=[]), r"order has shape \(0,\)"),
+            (lambda d: d.update(order=[0, True]), "list of integers"),
+            (lambda d: d.update(order=[False, True]), "list of integers"),
+            (lambda d: d.update(order=[0, 1.0]), "list of integers"),
+            (lambda d: d.update(order="01"), "list of integers"),
+            (lambda d: d.update(order=[0, 2]), r"term indices must lie in \[0, 2\)"),
+            (lambda d: d.update(order=[-1, 0]), r"term indices must lie in \[0, 2\)"),
+            (lambda d: d.update(order=[0, 2**70]), "integer term indices"),
+            (lambda d: d["terms"][1].pop("W"), "keys A, W and theta"),
+            (lambda d: d["terms"][0].update(gain=2.0), "keys A, W and theta"),
+            (lambda d: d["terms"][0].update(theta=[0.0, True]), "term theta entries must be a number, got True"),
+        ],
+    )
+    def test_loaded_schedule_is_validated(self, change, message):
+        d = json.loads(self._schedule().to_json())
+        change(d)
+        with pytest.raises(ValueError, match=message):
+            ControlSchedule.from_json(json.dumps(d))
+
+    def test_older_pieces_format_is_named(self):
+        # the format that wrote each piece's term in full, and no order
+        sched = self._schedule()
+        old = {
+            "activation": "logistic",
+            "breakpoints": sched.breakpoints.tolist(),
+            "pieces": [sched.static_piece(j).to_dict() for j in range(sched.piece_count)],
+        }
+        with pytest.raises(ValueError, match="'pieces', the older format"):
+            ControlSchedule.from_json(json.dumps(old))
+
+    def test_loaded_schedule_must_be_an_object(self):
+        with pytest.raises(ValueError, match="JSON object"):
+            ControlSchedule.from_json("[]")
 
 
 class TestSynthesisParams:
@@ -241,10 +288,12 @@ class TestOscillationSchedule:
         rng = np.random.default_rng(0)
         nf = NeuralField(tuple(_term(rng) for _ in range(3)))
         sched = oscillation_schedule(nf, (0.0, 1.0), 4)
-        assert all(sched.pieces[j] is sched.pieces[j + 3] for j in range(9))
-        assert len({id(p) for p in sched.pieces}) == 3
-        for j, piece in enumerate(sched.pieces):
-            assert np.array_equal(piece.A, 3.0 * nf.terms[j % 3].A)
+        assert len(sched.terms) == 3
+        assert np.array_equal(sched.order, np.tile(np.arange(3), 4))
+        assert not sched.order.flags.writeable
+        for j in range(sched.piece_count):
+            assert sched.static_piece(j) is sched.terms[j % 3]
+            assert np.array_equal(sched.static_piece(j).A, 3.0 * nf.terms[j % 3].A)
 
     def test_single_term_oscillation_is_constant(self):
         rng = np.random.default_rng(1)
@@ -263,10 +312,10 @@ class TestOscillationSchedule:
         nf = NeuralField((t1, t2))
         sched = oscillation_schedule(nf, (0.0, 1.0), 1)
         assert np.array_equal(sched.breakpoints, [0.0, 0.5, 1.0])
-        assert np.array_equal(sched.pieces[0].A, 2.0 * t1.A)
-        assert np.array_equal(sched.pieces[0].W, t1.W)
-        assert np.array_equal(sched.pieces[1].A, 2.0 * t2.A)
-        assert np.array_equal(sched.pieces[1].theta, t2.theta)
+        assert np.array_equal(sched.static_piece(0).A, 2.0 * t1.A)
+        assert np.array_equal(sched.static_piece(0).W, t1.W)
+        assert np.array_equal(sched.static_piece(1).A, 2.0 * t2.A)
+        assert np.array_equal(sched.static_piece(1).theta, t2.theta)
 
     def test_period_mean_identity(self):
         # direct summation over the 6 pieces of an m = 3, N = 2 schedule
@@ -311,7 +360,10 @@ class TestSynthesizeControls:
         assert sched.breakpoints[0] == 0.0
         assert sched.breakpoints[-1] == pytest.approx(1.0, abs=1e-15)
         assert sched.piece_count == 3 * 4 * 2
-        assert all(isinstance(p, NeuralTerm) for p in sched.pieces)
+        assert len(sched.terms) == 3 * 4
+        assert all(isinstance(t, NeuralTerm) for t in sched.terms)
+        # window w's order cycles through its own 4 terms, 2 periods each
+        assert np.array_equal(sched.order, np.repeat(4 * np.arange(3), 8) + np.tile(np.arange(4), 6))
 
     def test_zero_field_gives_stationary_schedule(self):
         vf = benchmark_field("translation", {"velocity": [0.0, 0.0]})
@@ -320,7 +372,8 @@ class TestSynthesizeControls:
         result = synthesize_controls(vf, mu0, params)
         # zero windows collapse to one A = 0 piece each
         assert result.schedule.piece_count == 2
-        assert all(np.all(p.A == 0.0) for p in result.schedule.pieces)
+        assert np.array_equal(result.schedule.order, [0, 1])
+        assert all(np.all(t.A == 0.0) for t in result.schedule.terms)
         cfg = IntegratorConfig(base_step=0.05, snap_times=np.linspace(0, 1, 5))
         traj = integrate_flow(result.schedule, mu0, cfg)
         for snap in traj.snapshots:
