@@ -384,14 +384,17 @@ _BLOCK_QUERIES = 128
 _WEIGHT_FLOOR = 1e-100
 
 
-def _weighted_moves(lhs, logit_coef, moves_and_one, shift, out) -> None:
+def _weighted_moves(lhs, logit_coef, moves_and_one, shift, logits, out) -> None:
     """Kernel-weighted sums of ``[moves | 1]``, ``_BLOCK_QUERIES`` rows at a time.
 
     Row i of ``out`` is sum_j exp(l_ij) [moves_j | 1] with l = lhs @ logit_coef,
-    each row of l first shifted by its maximum when ``shift`` is set.
+    each row of l first shifted by its maximum when ``shift`` is set. Every
+    block's logits are written into the same buffer ``logits``, which holds
+    at least ``min(_BLOCK_QUERIES, len(lhs))`` rows.
     """
     for start in range(0, len(lhs), _BLOCK_QUERIES):
-        w = lhs[start : start + _BLOCK_QUERIES] @ logit_coef
+        rows = lhs[start : start + _BLOCK_QUERIES]
+        w = np.matmul(rows, logit_coef, out=logits[: len(rows)])
         if shift:
             w -= w.max(axis=1, keepdims=True)
         np.exp(w, out=w)
@@ -420,8 +423,8 @@ def displacement_target_field(
     is redone with each logit row shifted by its maximum instead of carrying
     |x - c|^2. After that shift the row's weight sum is at least 1, so such a
     query still takes its nearest move. Queries are taken ``_BLOCK_QUERIES``
-    rows at a time, so the working set is one block of logits, never a whole
-    n x n matrix.
+    rows at a time into one buffer per evaluation, so the working set is one
+    block of logits, never a whole n x n matrix.
 
     The declared Lipschitz constant K (also ``params["lipschitz_K"]``) is an
     analytic bound that holds for every x and t. The field's Jacobian is
@@ -454,14 +457,17 @@ def displacement_target_field(
         )
         xc = x - mid
         lhs = np.hstack([xc, np.ones((len(x), 1)), _sq_norm(xc)[:, None]])
+        # one logits buffer for every block of this evaluation and its redo
+        # pass; a fresh array per block costs page faults on every call
+        logits = np.empty((min(_BLOCK_QUERIES, len(x)), len(anchors)))
         out = np.empty((len(x), d + 1))
-        _weighted_moves(lhs, logit_coef, moves_and_one, False, out)
+        _weighted_moves(lhs, logit_coef, moves_and_one, False, logits, out)
         sums = out[:, d]
         redo = np.flatnonzero(~np.isfinite(sums) | (sums < _WEIGHT_FLOOR))
         if redo.size:
             redone = np.empty((redo.size, d + 1))
             _weighted_moves(
-                lhs[redo, : d + 1], logit_coef[: d + 1], moves_and_one, True, redone
+                lhs[redo, : d + 1], logit_coef[: d + 1], moves_and_one, True, logits, redone
             )
             out[redo] = redone
         return out[:, :d] / out[:, d:]

@@ -20,16 +20,17 @@ map's tight constraints and improving exchanges are short hops. A cycle among
 the Bellman-Ford predecessors is a negative cycle (Klein's cycle cancelling):
 its sources pass their targets round the cycle, which lowers the cost, the
 rotated rows' weights are rebuilt and relaxation resumes from the same
-potentials and the unrotated nodes' predecessors, with a cycle check every
-`_CYCLE_CHECK_EVERY` (2) rounds. By Brenier's theorem an optimal identity
-has potentials p_j = 2 phi(x_j) - |x_j|^2 for a convex phi, so relaxation
-starts from those of the least-squares affine map (a quadratic phi), not
-from 0. Once relaxation settles the potentials are checked against every
-(i, j), a block of sources at a time; each violated target gains an edge
-from its worst source and relaxation resumes. The assignment solve runs after
-`_DENSE_CHECKS` failed checks, after n rounds without a cycle or convergence,
-or after more than `_CYCLES_PER_POINT` * n cancelled cycles, the cap that
-bounds the work on unrelated labels.
+potentials and the unrotated nodes' predecessors, with a cycle check (one
+pointer doubling over the predecessors) every `_CYCLE_CHECK_EVERY` (2)
+rounds. By Brenier's theorem an optimal identity has potentials
+p_j = 2 phi(x_j) - |x_j|^2 for a convex phi, so relaxation starts from those
+of the least-squares affine map (a quadratic phi), not from 0. Once
+relaxation settles the potentials are checked against every (i, j) in one
+pass, a block of targets at a time; each violated target gains an edge from
+its worst source and relaxation resumes. The assignment solve runs after
+`_DENSE_CHECKS` failed checks, after n rounds without a cycle or
+convergence, or after more than `_CANCELS_PER_POINT` * n cycle checks that
+cancelled a cycle, the cap that bounds the work on unrelated labels.
 
 Every distance is computed with numpy alone: the exact k-nearest sources,
 the dense check and the cost matrices all add the squared coordinate
@@ -61,13 +62,13 @@ BRUTEFORCE_MAX_N = 8
 
 # Certificate: sources per target in the sparse graph, the tolerance eps as a
 # share of the identity cost, Bellman-Ford rounds between cycle checks, dense
-# checks and cancelled cycles per point before giving up, and points per
-# block of a distance computation.
+# checks and cancelling cycle checks per point before giving up, and points
+# per block of a distance computation.
 _NEIGHBOURS = 32
 _EPS_REL = 1e-12
 _CYCLE_CHECK_EVERY = 2
 _DENSE_CHECKS = 4
-_CYCLES_PER_POINT = 1
+_CANCELS_PER_POINT = 1
 _BLOCK_SOURCES = 64
 
 
@@ -182,14 +183,13 @@ def _identity_costs(mu: ParticleEnsemble, nu: ParticleEnsemble) -> tuple:
     return diag, float(diag.sum() / mu.n)
 
 
-def _predecessor_cycles(pred: np.ndarray) -> tuple:
-    """(the nodes on cycles of the predecessor graph, the number of cycles).
+def _predecessor_cycles(pred: np.ndarray) -> np.ndarray:
+    """The nodes on cycles of the predecessor graph, in ascending order.
 
     pred[j] == n marks a root. Pointer doubling: after n.bit_length()
     squarings every node has walked at least n + 1 steps, so a node off the
     root has reached a cycle, and every cycle node is reached from the node
-    that many steps behind it. The cycles are then counted by the smallest
-    node on each, found by doubling again on the cycle nodes alone.
+    that many steps behind it.
     """
     n = pred.size
     up = np.append(pred, n)
@@ -197,38 +197,30 @@ def _predecessor_cycles(pred: np.ndarray) -> tuple:
         up = up[up]
     on = np.zeros(n + 1, dtype=bool)
     on[up[:n]] = True
-    nodes = np.flatnonzero(on[:n])
-    step = np.searchsorted(nodes, pred[nodes])
-    low = np.arange(nodes.size)
-    for _ in range(nodes.size.bit_length()):
-        low = np.minimum(low, low[step])
-        step = step[step]
-    return nodes, int((low == np.arange(nodes.size)).sum())
+    return np.flatnonzero(on[:n])
 
 
 def _dense_slack(x: np.ndarray, y: np.ndarray, p: np.ndarray, floor: np.ndarray) -> tuple:
     """(slack, source): per target j, min over i of p_i + C_ij - floor_j and an i attaining it.
 
     source_j is the first i minimising p_i + C_ij where the slack is
-    negative, and j itself elsewhere. C is built `_BLOCK_SOURCES` sources at
-    a time, never as a whole n x n matrix, and laid out as (source, target),
-    so a block's minimum over its sources is an elementwise minimum of rows.
-    Rounded subtraction is monotone, so subtracting floor_j after the
-    minimum gives the same bits as subtracting it from every entry. Only the
-    violated targets are searched again for their source.
+    negative, and j itself elsewhere. C is built `_BLOCK_SOURCES` targets at
+    a time, never as a whole n x n matrix, and laid out as (target, source),
+    so one argmin per row gives a target's first minimising source and its
+    minimum is read there. Rounded subtraction is monotone, so subtracting
+    floor_j after the minimum gives the same bits as subtracting it from
+    every entry.
     """
     n = x.shape[0]
-    low = np.full(n, np.inf)
-    for start, block in _row_blocks(x, y):
-        block += p[start : start + len(block), None]
-        np.minimum(low, block.min(axis=0), out=low)
-    slack = low - floor
-    source = np.arange(n)
-    violated = np.flatnonzero(slack < 0)
-    for start, block in _row_blocks(y[violated], x):
+    low = np.empty(n)
+    source = np.empty(n, dtype=np.intp)
+    for start, block in _row_blocks(y, x):
         block += p
-        source[violated[start : start + len(block)]] = block.argmin(axis=1)
-    return slack, source
+        best = block.argmin(axis=1)
+        source[start : start + len(block)] = best
+        low[start : start + len(block)] = block[np.arange(len(block)), best]
+    slack = low - floor
+    return slack, np.where(slack < 0, source, np.arange(n))
 
 
 def _affine_potentials(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -268,8 +260,9 @@ def _certified_permutation(
     settles the potentials are checked against every (i, j); each violated
     target gains an edge from its worst source and relaxation resumes, for
     at most `_DENSE_CHECKS` checks. None after n rounds without a cycle or
-    convergence, after more than `_CYCLES_PER_POINT` * n cycles, or when the
-    checks run out.
+    convergence, after more than `_CANCELS_PER_POINT` * n cycle checks that
+    found a cycle, or when the checks run out. Each such check cancels at
+    least one cycle, so the cap never fires before n cycles are cancelled.
     """
     n = x.shape[0]
     k = min(_NEIGHBOURS, n)
@@ -280,7 +273,7 @@ def _certified_permutation(
     diag = diag.copy()
     p = _affine_potentials(x, y)
     pred = np.full(n, n)
-    cycles = 0
+    cancels = 0
     for _ in range(_DENSE_CHECKS):
         # a round reads the candidates p_i + w through flat indices into
         # these buffers; every index is in range, so take's "clip" mode only
@@ -303,13 +296,13 @@ def _certified_permutation(
             np.copyto(pred, flat_nbr.take(pos), where=improved)
             if r % _CYCLE_CHECK_EVERY and r < n:
                 continue
-            nodes, count = _predecessor_cycles(pred)
-            if not count:
+            nodes = _predecessor_cycles(pred)
+            if not nodes.size:
                 if r == n:
                     return None
                 continue
-            cycles += count
-            if cycles > _CYCLES_PER_POINT * n:
+            cancels += 1
+            if cancels > _CANCELS_PER_POINT * n:
                 return None
             perm[pred[nodes]] = perm[nodes]
             target = y[perm[nodes]]
@@ -333,11 +326,11 @@ def w2_exact(mu: ParticleEnsemble, nu: ParticleEnsemble) -> W2Result:
     Starting from the identity coupling x_i -> y_i, negative cycles are
     cancelled until dual potentials certify that the permutation's
     normalized cost is at most the optimum + eps, with eps `_EPS_REL` times
-    the identity's cost. When the certificate fails or the cycle cap is
-    reached, scipy's O(n^3) assignment solver finds an optimal permutation.
-    Every path costs its permutation by one expression, so an identity
-    result's distance is `_identity_w2`'s, bit for bit. ``method`` says
-    which path ran.
+    the identity's cost. When the certificate fails or the cap on
+    cancelling checks is reached, scipy's O(n^3) assignment solver finds an
+    optimal permutation. Every path costs its permutation by one expression,
+    so an identity result's distance is `_identity_w2`'s, bit for bit.
+    ``method`` says which path ran.
     """
     _check_pair(mu, nu)
     diag, identity_cost = _identity_costs(mu, nu)

@@ -178,9 +178,9 @@ class TestIdentityCertificate:
         original = transport._predecessor_cycles
 
         def spied(pred):
-            nodes, count = original(pred)
-            found.append(count > 0)
-            return nodes, count
+            nodes = original(pred)
+            found.append(nodes.size > 0)
+            return nodes
 
         monkeypatch.setattr(transport, "_predecessor_cycles", spied)
         return found
@@ -342,6 +342,26 @@ class TestCycleCancelling:
         assert result.coupling.cost == cost_matrix[rows, cols].sum() / mu.n
         assert result.distance == _assignment_w2(mu, nu)[0]
 
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(1, 200), st.floats(0.0, 1.0), st.integers(0, 10_000))
+    def test_predecessor_cycles_are_the_nodes_on_cycles(self, n, root_share, seed):
+        # random predecessors make chains into roots and into cycles; a
+        # planted ring through a random subset adds cycles of any length
+        rng = np.random.default_rng(seed)
+        pred = rng.integers(0, n, size=n)
+        pred[rng.random(n) < root_share] = n
+        ring = rng.permutation(n)[: rng.integers(0, n + 1)]
+        pred[ring] = np.roll(ring, 1)
+        on_cycle = []
+        for j in range(n):
+            i = pred[j]
+            for _ in range(n):
+                if i == j or i == n:
+                    break
+                i = pred[i]
+            on_cycle.append(i == j)
+        assert transport._predecessor_cycles(pred).tolist() == np.flatnonzero(on_cycle).tolist()
+
     def test_warm_potentials_settle_in_few_rounds(self, monkeypatch):
         # affine start potentials, kept across cancels with the unrotated
         # predecessors, settle this pair in 150 cycle checks of 2 rounds; a
@@ -360,7 +380,7 @@ class TestCycleCancelling:
 
     def test_cycle_cap_falls_back_to_the_assignment_solve(self, monkeypatch):
         mu, nu = self._far_pair()
-        monkeypatch.setattr(transport, "_CYCLES_PER_POINT", 0)
+        monkeypatch.setattr(transport, "_CANCELS_PER_POINT", 0)
         result = w2_exact(mu, nu)
         assert result.method == "assignment"
         assert result.distance == _assignment_w2(mu, nu)[0]
